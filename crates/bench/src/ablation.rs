@@ -416,18 +416,21 @@ mod tests {
 
     #[test]
     fn busy_windows_are_covered() {
+        let _shared = crate::shared_lock();
         let report = exp_busy_windows(3);
         assert!(report.contains("fits inside"));
     }
 
     #[test]
     fn tight_analysis_dominates_and_stays_sound() {
+        let _shared = crate::shared_lock();
         let report = exp_tight(3);
         assert!(report.contains("0 violations"));
     }
 
     #[test]
     fn ablation_shows_design_choices_are_load_bearing() {
+        let _shared = crate::shared_lock();
         let report = exp_ablation();
         assert!(report.contains("per-round bounds  (PB"));
         assert!(report.contains("violated — "));
@@ -436,12 +439,14 @@ mod tests {
 
     #[test]
     fn schedulability_curves_have_the_right_shape() {
+        let _shared = crate::shared_lock();
         let report = exp_schedulability(10);
         assert!(report.contains("crossover observed: true"));
     }
 
     #[test]
     fn sensitivity_reports_headroom() {
+        let _shared = crate::shared_lock();
         let report = exp_sensitivity();
         assert!(report.contains("breakdown"));
     }

@@ -6,6 +6,12 @@
 //! cargo run --release -p refined-prosa-bench --bin paper_experiments -- thm51 --seeds 50
 //! cargo run --release -p refined-prosa-bench --bin paper_experiments -- --list  # index
 //! ```
+//!
+//! An unknown experiment id or flag, or a flag value that is not a
+//! non-negative integer, prints the index to standard error and exits
+//! with status 2.
+
+use std::process::ExitCode;
 
 use refined_prosa_bench as exps;
 use rossl_model::Instant;
@@ -39,28 +45,79 @@ const INDEX: &[(&str, &str, &str)] = &[
     ("E24", "admission", "workload generation + incremental admission, differentially tested"),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
-        for (e, name, what) in INDEX {
-            println!("{e:<5} {name:<14} {what}");
+/// The parsed command line.
+struct Args {
+    which: String,
+    seeds: u64,
+    horizon: u64,
+    smoke: bool,
+    list: bool,
+}
+
+/// Parses `[<id>] [--seeds N] [--horizon T] [--smoke] [--list]`, flags
+/// in any order. An unknown id or flag, a missing flag value or one
+/// that is not a non-negative integer is an error.
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        which: "all".to_owned(),
+        seeds: 10,
+        horizon: 100_000,
+        smoke: false,
+        list: false,
+    };
+    let mut id = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--list" => parsed.list = true,
+            "--smoke" => parsed.smoke = true,
+            "--seeds" | "--horizon" => {
+                let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                let n = value
+                    .parse()
+                    .map_err(|_| format!("{arg} takes a non-negative integer, not '{value}'"))?;
+                if arg == "--seeds" {
+                    parsed.seeds = n;
+                } else {
+                    parsed.horizon = n;
+                }
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
+            name if id.is_none() => id = Some(name),
+            extra => return Err(format!("more than one experiment id: '{extra}'")),
         }
-        return;
     }
-    let which = args.first().map(String::as_str).unwrap_or("all");
-    let seeds: u64 = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let horizon: u64 = args
-        .iter()
-        .position(|a| a == "--horizon")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000);
+    if let Some(name) = id {
+        if name != "all" && !INDEX.iter().any(|(_, known, _)| *known == name) {
+            return Err(format!("unknown experiment '{name}'"));
+        }
+        parsed.which = name.to_owned();
+    }
+    Ok(parsed)
+}
+
+/// The `--list` index, one experiment a line.
+fn index() -> String {
+    INDEX.iter().map(|(e, name, what)| format!("{e:<5} {name:<14} {what}\n")).collect()
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args { which, seeds, horizon, smoke, list } = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("paper_experiments: {e}");
+            eprintln!(
+                "usage: paper_experiments [<id>|all] [--seeds N] [--horizon T] [--smoke] [--list]"
+            );
+            eprint!("experiments:\n{}", index());
+            return ExitCode::from(2);
+        }
+    };
+    if list {
+        print!("{}", index());
+        return ExitCode::SUCCESS;
+    }
 
     let run = |name: &str, title: &str, body: &dyn Fn() -> String| {
         if which == "all" || which == name {
@@ -171,4 +228,5 @@ fn main() {
         &|| exps::exp_admission(smoke),
     );
     run("loc","code inventory vs the paper's proof-effort table (§5)", &exps::exp_loc);
+    ExitCode::SUCCESS
 }

@@ -120,6 +120,7 @@ mod tests {
 
     #[test]
     fn crash_recovery_experiment_passes_at_small_depth() {
+        let _shared = crate::shared_lock();
         let report = exp_crash_recovery(8);
         assert!(report.contains("every injected crash recovered"), "report:\n{report}");
         assert!(report.contains("torn tail:"), "report:\n{report}");

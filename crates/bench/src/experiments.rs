@@ -453,12 +453,14 @@ mod tests {
 
     #[test]
     fn fig3_reproduces_the_worked_example() {
+        let _shared = crate::shared_lock();
         let report = exp_fig3();
         assert!(report.contains("completion order"));
     }
 
     #[test]
     fn fig5_model_checks_pass() {
+        let _shared = crate::shared_lock();
         let report = exp_fig5();
         assert!(report.contains("all traces accepted"));
         assert!(report.contains("rejected = true"));
@@ -466,18 +468,21 @@ mod tests {
 
     #[test]
     fn curves_experiment_is_consistent() {
+        let _shared = crate::shared_lock();
         let report = exp_curves();
         assert!(report.contains("β dominates α"));
     }
 
     #[test]
     fn baseline_breaks_and_aware_holds() {
+        let _shared = crate::shared_lock();
         let report = exp_baseline();
         assert!(report.contains("aware analysis sound in all"));
     }
 
     #[test]
     fn thm51_small_run_has_zero_violations() {
+        let _shared = crate::shared_lock();
         let report = exp_thm51(2, Instant(15_000));
         assert!(report.contains("|          0 |"), "report:\n{report}");
     }

@@ -98,6 +98,7 @@ mod tests {
 
     #[test]
     fn faults_experiment_reports_both_matrices() {
+        let _shared = crate::shared_lock();
         let report = exp_faults(2, Instant(15_000));
         assert!(report.contains("Detection matrix"), "report:\n{report}");
         assert!(report.contains("Soundness matrix"), "report:\n{report}");

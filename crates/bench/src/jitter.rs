@@ -217,6 +217,7 @@ mod tests {
 
     #[test]
     fn fig7_experiment_shows_the_jitter_effect() {
+        let _shared = crate::shared_lock();
         let report = exp_fig7();
         assert!(report.contains("jitter-adjusted violations are zero"));
     }

@@ -41,12 +41,23 @@ pub use obs::exp_obs;
 pub use tracing::exp_trace;
 pub use verify_bench::exp_verify_bench;
 
-/// Serializes the heavyweight experiment smoke tests (E18–E23): they
-/// write `BENCH_*.json` artifacts into the crate directory and E19
-/// measures wall-clock overhead, so running them concurrently makes
-/// the timing assertion flaky.
+/// The lock every test of this crate holds. The heavyweight experiment
+/// smoke tests (E18–E24) hold it exclusively: they write `BENCH_*.json`
+/// artifacts into the crate directory, and E19 and E23 assert
+/// wall-clock overhead budgets that a test running beside them would
+/// skew. Every other test holds it shared, so light tests still run in
+/// parallel with each other but never during a timing measurement.
 #[cfg(test)]
-pub(crate) fn smoke_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+static TEST_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// Exclusive hold of [`TEST_LOCK`], for the heavyweight smoke tests.
+#[cfg(test)]
+pub(crate) fn smoke_lock() -> std::sync::RwLockWriteGuard<'static, ()> {
+    TEST_LOCK.write().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Shared hold of [`TEST_LOCK`], for every other test.
+#[cfg(test)]
+pub(crate) fn shared_lock() -> std::sync::RwLockReadGuard<'static, ()> {
+    TEST_LOCK.read().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

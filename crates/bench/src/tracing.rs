@@ -40,6 +40,7 @@ use rossl_obs::{
 };
 
 use crate::fleet::fleet_system;
+use crate::obs::Overhead;
 
 /// Analysis horizon for the allowance derivation — same order as the
 /// other fleet-era experiments; the three-task system converges early.
@@ -312,7 +313,7 @@ pub fn exp_trace(smoke: bool) -> String {
     );
 
     // ---- 4. Overhead: traced vs untraced fleet ---------------------
-    let repeats = if smoke { 5 } else { 9 };
+    let repeats = if smoke { 31 } else { 61 };
     let rounds = if smoke { 2 } else { 4 };
     let drive = |traced: bool| -> f64 {
         let start = Wall::now();
@@ -327,28 +328,21 @@ pub fn exp_trace(smoke: bool) -> String {
         }
         start.elapsed().as_secs_f64()
     };
-    // Warm both paths, then time back-to-back pairs so clock drift hits
-    // both sides of each ratio alike; the median ratio is reported.
+    // Warm both paths, then time interleaved pairs so clock drift hits
+    // both sides alike; the overhead is the median per-pair ratio (see
+    // `Overhead`), the ratio of the per-side minima is reported with it.
     drive(false);
     drive(true);
-    let mut ratios = Vec::with_capacity(repeats);
-    let (mut plain_best, mut traced_best) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..repeats {
-        let plain = drive(false);
-        let traced = drive(true);
-        plain_best = plain_best.min(plain);
-        traced_best = traced_best.min(traced);
-        ratios.push(traced / plain);
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("wall times are finite"));
-    let overhead_pct = (ratios[repeats / 2] - 1.0) * 100.0;
+    let o = Overhead::measure(repeats, || drive(false), || drive(true));
+    let overhead_pct = o.median_ratio_pct();
     let _ = writeln!(
         out,
-        "overhead ({} fleet runs per side, median of {repeats} pairs): plain {:.2} ms, \
-         traced {:.2} ms, overhead {overhead_pct:+.2}% (budget {OVERHEAD_BUDGET_PCT}%)",
+        "overhead ({} fleet runs per side, median of {repeats} interleaved pairs): plain {:.2} ms, \
+         traced {:.2} ms, overhead {overhead_pct:+.2}% (minima {:+.2}%, budget {OVERHEAD_BUDGET_PCT}%)",
         rounds,
-        plain_best * 1e3,
-        traced_best * 1e3,
+        o.base_best * 1e3,
+        o.probe_best * 1e3,
+        o.min_ratio_pct(),
     );
     assert!(
         overhead_pct < OVERHEAD_BUDGET_PCT,
@@ -367,7 +361,8 @@ pub fn exp_trace(smoke: bool) -> String {
             "\"migration_overruns\": {}, \"sets_equal\": true}},\n",
             "  \"overhead\": {{\"runs_per_side\": {}, \"repeats\": {}, ",
             "\"plain_secs\": {:.6}, \"traced_secs\": {:.6}, ",
-            "\"overhead_pct\": {:.3}, \"budget_pct\": {}}}\n}}\n"
+            "\"overhead_pct\": {:.3}, \"median_ratio_pct\": {:.3}, \"min_ratio_pct\": {:.3}, ",
+            "\"budget_pct\": {}}}\n}}\n"
         ),
         smoke,
         report.jobs.len(),
@@ -381,9 +376,11 @@ pub fn exp_trace(smoke: bool) -> String {
         migration_seqs.len(),
         rounds,
         repeats,
-        plain_best,
-        traced_best,
+        o.base_best,
+        o.probe_best,
         overhead_pct,
+        overhead_pct,
+        o.min_ratio_pct(),
         OVERHEAD_BUDGET_PCT
     );
     match std::fs::write("BENCH_trace.json", &json) {

@@ -235,7 +235,7 @@ pub fn check_fleet(
     let sts = ProtocolAutomaton::new(n_sockets);
     for shard in shards {
         for (segment, trace) in shard.segments.iter().enumerate() {
-            sts.accept(trace).map_err(|error| FleetCheckError::Shard {
+            sts.validate(trace).map_err(|error| FleetCheckError::Shard {
                 shard: shard.shard,
                 error: StitchedError::Protocol { segment, error },
             })?;

@@ -304,6 +304,17 @@ impl RosslSystem {
         analysis_horizon: Duration,
     ) -> Result<std::sync::Arc<BoundObservatory>, SystemError> {
         let bounds = self.analyse(analysis_horizon)?;
+        Ok(self.observatory_from_bounds(registry, &bounds))
+    }
+
+    /// [`RosslSystem::observatory`] against bounds already computed by
+    /// [`RosslSystem::analyse`], so N observatories (one per fleet
+    /// shard) cost one analysis.
+    pub fn observatory_from_bounds(
+        &self,
+        registry: &Registry,
+        bounds: &AnalysisResult,
+    ) -> std::sync::Arc<BoundObservatory> {
         let mut obs = BoundObservatory::new();
         for task in self.tasks() {
             let bound = bounds
@@ -312,7 +323,7 @@ impl RosslSystem {
                 .unwrap_or(Duration::ZERO);
             obs.track(registry, task.id().0, task.name(), bound.ticks());
         }
-        Ok(std::sync::Arc::new(obs))
+        std::sync::Arc::new(obs)
     }
 
     /// Simulates one run against `arrivals` under the given cost model.

@@ -272,6 +272,12 @@ pub struct Fleet {
     /// tracer only records liveness *changes* (steady-state sweeps are
     /// trace noise and measurable hot-path cost).
     traced_alive: Option<u64>,
+    /// Set whenever a shard may have been killed or fenced since the
+    /// last heartbeat, so steady sweeps skip recounting the live shards.
+    liveness_changed: bool,
+    /// The shard status snapshot handed to the router, rebuilt in place
+    /// on every tick the router has an attempt due.
+    status: Vec<ShardStatus>,
 }
 
 impl Fleet {
@@ -295,6 +301,8 @@ impl Fleet {
             Arc::new(SpanLog::registered(1024, &registry, "fleet.spans")),
         );
         let router = Router::new(config.n_shards, config.seed, config.router.clone(), &registry);
+        // Every shard runs the same system, so one analysis bounds them all.
+        let bounds = system.analyse(config.analysis_horizon)?;
         let mut shards = Vec::with_capacity(config.n_shards);
         let mut observatories = Vec::with_capacity(config.n_shards);
         for id in 0..config.n_shards {
@@ -305,7 +313,7 @@ impl Fleet {
                 config.restart_policy,
             ));
             let shard_registry = Registry::new();
-            let obs = system.observatory(&shard_registry, config.analysis_horizon)?;
+            let obs = system.observatory_from_bounds(&shard_registry, &bounds);
             observatories.push((shard_registry, obs));
         }
         metrics.shards_alive.set(config.n_shards as i64);
@@ -333,6 +341,8 @@ impl Fleet {
             responses: Vec::new(),
             collector: None,
             traced_alive: None,
+            liveness_changed: true,
+            status: Vec::new(),
         })
     }
 
@@ -388,7 +398,8 @@ impl Fleet {
 
     /// Drives the whole chaos run: workload in, faults applied,
     /// shards stepped, failures detected and failed over, then drains
-    /// and runs the cross-shard checker.
+    /// and runs the cross-shard checker, which takes the shards' trace
+    /// histories (a fleet runs once).
     pub fn run(&mut self, workload: Workload, plan: &FaultPlan) -> FleetOutcome {
         let schedule = self.schedule(workload);
         let horizon = schedule.last().map_or(0, |(t, _, _)| *t);
@@ -397,10 +408,26 @@ impl Fleet {
         self.delivered_once = vec![false; schedule.len()];
         self.seq_key = schedule.iter().map(|(_, key, _)| *key).collect();
         let mut next_sub = 0usize;
+        // The fleet faults in firing order; `next_fault` is the first
+        // one not yet fired.
+        let mut faults: Vec<(u64, FaultClass)> = plan
+            .fleet_specs()
+            .filter_map(|spec| match spec.class {
+                FaultClass::ShardKill { at_tick, .. }
+                | FaultClass::ShardPause { at_tick, .. }
+                | FaultClass::Partition { at_tick, .. } => Some((at_tick, spec.class)),
+                _ => None,
+            })
+            .collect();
+        faults.sort_by_key(|&(at_tick, _)| at_tick);
+        let mut next_fault = 0usize;
 
         let mut tick = 0u64;
         loop {
-            self.apply_faults(plan, tick);
+            while next_fault < faults.len() && faults[next_fault].0 == tick {
+                self.apply_fault(faults[next_fault].1, tick);
+                next_fault += 1;
+            }
             while next_sub < schedule.len() && schedule[next_sub].0 == tick {
                 let (_, key, seq) = schedule[next_sub];
                 let task = key as usize % self.tasks.len();
@@ -418,10 +445,14 @@ impl Fleet {
             {
                 self.health_check(tick);
             }
-            let drained = next_sub >= schedule.len()
-                && self.router.idle()
-                && self.seq_state.iter().all(|s| s.terminal());
-            if (tick >= horizon && drained) || tick >= max_ticks {
+            // Nothing can drain before the last submission: scan the
+            // payload states only from the horizon on.
+            if tick >= max_ticks
+                || (tick >= horizon
+                    && next_sub >= schedule.len()
+                    && self.router.idle()
+                    && self.seq_state.iter().all(|s| s.terminal()))
+            {
                 break;
             }
             tick += 1;
@@ -449,36 +480,48 @@ impl Fleet {
             .collect()
     }
 
-    fn apply_faults(&mut self, plan: &FaultPlan, tick: u64) {
-        for spec in plan.fleet_specs() {
-            match spec.class {
-                FaultClass::ShardKill { shard, at_tick } if at_tick == tick => {
-                    if let Some(s) = self.shards.get_mut(shard) {
-                        s.killed = true;
-                    }
+    fn apply_fault(&mut self, class: FaultClass, tick: u64) {
+        match class {
+            FaultClass::ShardKill { shard, .. } => {
+                if let Some(s) = self.shards.get_mut(shard) {
+                    s.killed = true;
+                    self.liveness_changed = true;
                 }
-                FaultClass::ShardPause { shard, at_tick, for_ticks } if at_tick == tick => {
-                    if let Some(s) = self.shards.get_mut(shard) {
-                        s.paused_until = s.paused_until.max(tick + for_ticks);
-                    }
-                }
-                FaultClass::Partition { shard, at_tick, for_ticks } if at_tick == tick => {
-                    if let Some(s) = self.shards.get_mut(shard) {
-                        s.partitioned_until = s.partitioned_until.max(tick + for_ticks);
-                    }
-                }
-                _ => {}
             }
+            FaultClass::ShardPause { shard, for_ticks, .. } => {
+                if let Some(s) = self.shards.get_mut(shard) {
+                    s.paused_until = s.paused_until.max(tick + for_ticks);
+                }
+            }
+            FaultClass::Partition { shard, for_ticks, .. } => {
+                if let Some(s) = self.shards.get_mut(shard) {
+                    s.partitioned_until = s.partitioned_until.max(tick + for_ticks);
+                }
+            }
+            _ => {}
         }
     }
 
     fn route_and_step(&mut self, tick: u64) {
-        let status: Vec<ShardStatus> = self
-            .shards
-            .iter()
-            .map(|s| ShardStatus { reachable: s.reachable(tick), depth: s.depth() })
-            .collect();
-        let res = self.router.process(tick, &status);
+        // `process` decides nothing before the router's next due tick.
+        if self.router.next_due().is_some_and(|due| due <= tick) {
+            self.route(tick);
+        }
+        for i in 0..self.shards.len() {
+            for ev in self.shards[i].step(tick) {
+                self.absorb(i, &ev);
+            }
+        }
+    }
+
+    fn route(&mut self, tick: u64) {
+        self.status.clear();
+        self.status.extend(
+            self.shards
+                .iter()
+                .map(|s| ShardStatus { reachable: s.reachable(tick), depth: s.depth() }),
+        );
+        let res = self.router.process(tick, &self.status);
         for (seq, _, _) in res.shed {
             self.seq_state[seq as usize] = SeqState::Shed;
         }
@@ -499,11 +542,6 @@ impl Fleet {
             self.delivered_once[d.seq as usize] = true;
             self.seq_state[d.seq as usize] =
                 SeqState::Delivered { shard: d.shard, arrival };
-        }
-        for i in 0..self.shards.len() {
-            for ev in self.shards[i].step(tick) {
-                self.absorb(i, &ev);
-            }
         }
     }
 
@@ -538,13 +576,14 @@ impl Fleet {
                     self.completion_ticks.push(self.shards[shard].last_step_tick);
                 }
             }
-            ShardEvent::Crashed => {}
+            ShardEvent::Crashed => self.liveness_changed = true,
         }
     }
 
     fn health_check(&mut self, tick: u64) {
         self.metrics.health_checks.inc();
-        if let Some(collector) = &self.collector {
+        if let Some(collector) = self.collector.as_ref().filter(|_| self.liveness_changed) {
+            self.liveness_changed = false;
             let alive =
                 self.shards.iter().filter(|s| !s.killed && !s.fenced).count() as u64;
             if self.traced_alive != Some(alive) {
@@ -634,6 +673,7 @@ impl Fleet {
         tick: u64,
     ) {
         self.shards[dead].fence();
+        self.liveness_changed = true;
         self.router.mark_dead(dead);
         self.metrics
             .shards_alive
@@ -884,7 +924,8 @@ impl Fleet {
             }
         }
 
-        let histories: Vec<_> = self.shards.iter().map(Shard::history).collect();
+        // The run is over: the histories move into the checker.
+        let histories: Vec<_> = self.shards.iter_mut().map(Shard::take_history).collect();
         let fleet_check = check_fleet(&histories, &self.manifests, &self.tasks, self.n_sockets);
 
         FleetOutcome {

@@ -51,7 +51,7 @@ pub use router::{
     Delivery, FailReason, ProcessResult, RetryCause, RouteEvent, Router, RouterPolicy,
     ShardStatus,
 };
-pub use shard::{Shard, ShardEvent};
+pub use shard::{marker_cost, Shard, ShardEvent};
 
 #[cfg(test)]
 mod tests {

@@ -380,6 +380,14 @@ impl Router {
         out
     }
 
+    /// The tick of the earliest scheduled attempt, if any. Until then
+    /// [`Router::process`] has nothing to decide and returns an empty
+    /// result.
+    #[must_use]
+    pub fn next_due(&self) -> Option<u64> {
+        self.due.first_key_value().map(|(&due, _)| due)
+    }
+
     /// Are there no scheduled attempts left?
     #[must_use]
     pub fn idle(&self) -> bool {

@@ -54,9 +54,13 @@ pub enum ShardEvent {
     Crashed,
 }
 
-/// The per-marker cost model, mirroring the fuzz executor so fleet
+/// Virtual-clock cost of one marker: reads 1 tick, selection, dispatch
+/// and completion from the [`WcetTable`], execution the task's WCET.
+/// The fleet shards and the fuzzer's raw drive both charge it, so their
 /// response times live on the same clock the timing analysis bounds.
-fn marker_cost(marker: &Marker, wcet: &WcetTable, tasks: &TaskSet) -> u64 {
+/// Every cost is ≥ 1, so the clock is strictly monotone.
+#[must_use]
+pub fn marker_cost(marker: &Marker, wcet: &WcetTable, tasks: &TaskSet) -> u64 {
     match marker {
         Marker::ReadStart | Marker::ReadEnd { .. } => 1,
         Marker::Selection => wcet.selection.ticks(),
@@ -67,6 +71,8 @@ fn marker_cost(marker: &Marker, wcet: &WcetTable, tasks: &TaskSet) -> u64 {
             .unwrap_or(1)
             .max(1),
         Marker::Completion(_) => wcet.completion.ticks(),
+        // Mode switches are bounded like one idle iteration (see
+        // `rossl_timing::wcet_check`).
         Marker::Idling | Marker::ModeSwitch { .. } => wcet.idling.ticks(),
     }
 }
@@ -252,45 +258,49 @@ impl Shard {
         self.clock += marker_cost(&marker, &self.wcet, self.config.tasks());
         self.journal.append(&marker, Instant(self.clock));
         self.journal.commit();
-        if let Some(tracer) = self.tracer.as_mut() {
-            let commit = self.journal.commits_written();
-            let prio_of = |task: rossl_model::TaskId| {
-                self.config.tasks().task(task).map_or(0, |t| u64::from(t.priority().0))
-            };
-            match &marker {
-                Marker::ReadEnd { job: Some(j), .. } => {
-                    if let Some(seq) = read_seq {
+        // Only request-phase markers reach the tracer and the fleet; the
+        // idle polls that make up most steps fall through untouched.
+        let prio_of = |task: rossl_model::TaskId| {
+            self.config.tasks().task(task).map_or(0, |t| u64::from(t.priority().0))
+        };
+        match &marker {
+            Marker::ReadEnd { job: Some(j), .. } => {
+                if let Some(seq) = read_seq {
+                    if let Some(tracer) = self.tracer.as_mut() {
                         tracer.on_accept(
                             seq,
                             j.id().0,
                             j.task().0 as u64,
                             prio_of(j.task()),
                             self.clock,
-                            commit,
+                            self.journal.commits_written(),
                             self.orphan_bug,
                         );
                     }
-                }
-                Marker::Dispatch(j) => tracer.on_dispatch(
-                    j.id().0,
-                    j.task().0 as u64,
-                    prio_of(j.task()),
-                    self.clock,
-                    commit,
-                ),
-                Marker::Completion(j) => tracer.on_complete(j.id().0, self.clock, commit),
-                Marker::ModeSwitch { .. } => tracer.on_mode_switch(clock_before, self.clock),
-                _ => {}
-            }
-        }
-        match &marker {
-            Marker::ReadEnd { job: Some(j), .. } => {
-                if let Some(seq) = read_seq {
                     events.push(ShardEvent::Accepted { seq, job: j.clone(), at: self.clock });
                 }
             }
+            Marker::Dispatch(j) => {
+                if let Some(tracer) = self.tracer.as_mut() {
+                    tracer.on_dispatch(
+                        j.id().0,
+                        j.task().0 as u64,
+                        prio_of(j.task()),
+                        self.clock,
+                        self.journal.commits_written(),
+                    );
+                }
+            }
             Marker::Completion(j) => {
+                if let Some(tracer) = self.tracer.as_mut() {
+                    tracer.on_complete(j.id().0, self.clock, self.journal.commits_written());
+                }
                 events.push(ShardEvent::Completed { job: j.clone(), at: self.clock });
+            }
+            Marker::ModeSwitch { .. } => {
+                if let Some(tracer) = self.tracer.as_mut() {
+                    tracer.on_mode_switch(clock_before, self.clock);
+                }
             }
             _ => {}
         }
@@ -372,6 +382,20 @@ impl Shard {
         if !self.fenced {
             segments.push(self.current.clone());
         }
+        self.history_of(segments)
+    }
+
+    /// [`Shard::history`] by move, for the end of a run: the shard's
+    /// trace segments are left empty.
+    pub(crate) fn take_history(&mut self) -> rossl_verify::ShardHistory {
+        let mut segments = std::mem::take(&mut self.segments);
+        if !self.fenced {
+            segments.push(std::mem::take(&mut self.current));
+        }
+        self.history_of(segments)
+    }
+
+    fn history_of(&self, segments: Vec<Trace>) -> rossl_verify::ShardHistory {
         rossl_verify::ShardHistory {
             shard: self.id,
             segments,

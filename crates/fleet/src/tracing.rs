@@ -10,10 +10,10 @@
 //! instants the fleet derives response times from — so the attribution
 //! engine's per-job sum is tick-exact by construction.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rossl_obs::{ClockDomain, SpanId, SpanKind, TraceCollector, TraceId};
+use rossl_obs::{ClockDomain, SpanBatch, SpanId, SpanKind, TraceCollector, TraceId};
 
 /// Per-job tracing context on one shard, keyed by raw job id.
 #[derive(Debug)]
@@ -34,8 +34,8 @@ pub(crate) struct ShardTracer {
     domain: ClockDomain,
     /// Open enqueue span (and its route parent) per fleet sequence
     /// number, between delivery and the `ReadEnd` commit.
-    enqueue_open: HashMap<u64, (SpanId, Option<SpanId>)>,
-    jobs: HashMap<u64, JobCtx>,
+    enqueue_open: BTreeMap<u64, (SpanId, Option<SpanId>)>,
+    jobs: BTreeMap<u64, JobCtx>,
 }
 
 impl ShardTracer {
@@ -43,30 +43,24 @@ impl ShardTracer {
         ShardTracer {
             collector,
             domain: ClockDomain::Shard(shard),
-            enqueue_open: HashMap::new(),
-            jobs: HashMap::new(),
+            enqueue_open: BTreeMap::new(),
+            jobs: BTreeMap::new(),
         }
     }
 
     /// The journal append + commit instants for a request-relevant
     /// marker, nested in the phase span the marker closed.
-    fn journal_pair(&self, trace: TraceId, parent: Option<SpanId>, clock: u64, commit: u64) {
-        self.collector.instant(
-            trace,
-            parent,
-            SpanKind::JournalAppend,
-            self.domain,
-            clock,
-            &[("commit", commit)],
-        );
-        self.collector.instant(
-            trace,
-            parent,
-            SpanKind::JournalCommit,
-            self.domain,
-            clock,
-            &[("commit", commit)],
-        );
+    fn journal_pair(
+        batch: &mut SpanBatch<'_>,
+        domain: ClockDomain,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        clock: u64,
+        commit: u64,
+    ) {
+        for kind in [SpanKind::JournalAppend, SpanKind::JournalCommit] {
+            batch.instant(trace, parent, kind, domain, clock, &[("commit", commit)]);
+        }
     }
 
     /// A routed payload landed on a socket at shard clock `clock`.
@@ -94,14 +88,19 @@ impl ShardTracer {
             return; // untraced delivery
         };
         let trace = TraceId(seq);
+        let mut batch = self.collector.batch();
         if !skip_close {
-            self.collector.end(enq, clock);
+            batch.end(enq, clock);
         }
-        self.journal_pair(trace, Some(enq), clock, commit);
-        let wait = self.collector.start(trace, parent, SpanKind::DispatchWait, self.domain, clock);
-        self.collector.annotate(wait, "task", task);
-        self.collector.annotate(wait, "prio", prio);
-        self.collector.annotate(wait, "job", job);
+        Self::journal_pair(&mut batch, self.domain, trace, Some(enq), clock, commit);
+        let wait = batch.start_with(
+            trace,
+            parent,
+            SpanKind::DispatchWait,
+            self.domain,
+            clock,
+            &[("task", task), ("prio", prio), ("job", job)],
+        );
         self.jobs.insert(job, JobCtx { trace, parent, wait: Some(wait), exec: None });
     }
 
@@ -110,17 +109,20 @@ impl ShardTracer {
         let Some(ctx) = self.jobs.get_mut(&job) else {
             return;
         };
+        let mut batch = self.collector.batch();
         if let Some(w) = ctx.wait {
-            self.collector.end(w, clock);
+            batch.end(w, clock);
         }
-        let exec =
-            self.collector.start(ctx.trace, ctx.parent, SpanKind::Execute, self.domain, clock);
-        self.collector.annotate(exec, "task", task);
-        self.collector.annotate(exec, "prio", prio);
-        self.collector.annotate(exec, "job", job);
+        let exec = batch.start_with(
+            ctx.trace,
+            ctx.parent,
+            SpanKind::Execute,
+            self.domain,
+            clock,
+            &[("task", task), ("prio", prio), ("job", job)],
+        );
         ctx.exec = Some(exec);
-        let (trace, wait) = (ctx.trace, ctx.wait);
-        self.journal_pair(trace, wait, clock, commit);
+        Self::journal_pair(&mut batch, self.domain, ctx.trace, ctx.wait, clock, commit);
     }
 
     /// The `Completion` for `job` committed at `clock`.
@@ -129,8 +131,9 @@ impl ShardTracer {
             return;
         };
         if let Some(x) = ctx.exec {
-            self.collector.end(x, clock);
-            self.journal_pair(ctx.trace, Some(x), clock, commit);
+            let mut batch = self.collector.batch();
+            batch.end(x, clock);
+            Self::journal_pair(&mut batch, self.domain, ctx.trace, Some(x), clock, commit);
         }
     }
 
@@ -165,16 +168,27 @@ impl ShardTracer {
         from: Option<SpanId>,
     ) {
         let trace = TraceId(seq);
-        let enq = self.collector.start(trace, None, SpanKind::Enqueue, self.domain, clock);
-        self.collector.annotate(enq, "migration_latency", latency);
+        let mut batch = self.collector.batch();
+        let enq = batch.start_with(
+            trace,
+            None,
+            SpanKind::Enqueue,
+            self.domain,
+            clock,
+            &[("migration_latency", latency)],
+        );
         if let Some(target) = from {
-            self.collector.link(enq, target);
+            batch.link(enq, target);
         }
-        self.collector.end(enq, clock);
-        let wait = self.collector.start(trace, None, SpanKind::DispatchWait, self.domain, clock);
-        self.collector.annotate(wait, "task", task);
-        self.collector.annotate(wait, "prio", prio);
-        self.collector.annotate(wait, "job", job);
+        batch.end(enq, clock);
+        let wait = batch.start_with(
+            trace,
+            None,
+            SpanKind::DispatchWait,
+            self.domain,
+            clock,
+            &[("task", task), ("prio", prio), ("job", job)],
+        );
         self.jobs.insert(job, JobCtx { trace, parent: None, wait: Some(wait), exec: None });
     }
 }
@@ -185,10 +199,10 @@ impl ShardTracer {
 #[derive(Debug)]
 pub(crate) struct RouterTracer {
     collector: Arc<TraceCollector>,
-    open: HashMap<u64, SpanId>,
+    open: BTreeMap<u64, SpanId>,
     /// The most recently closed episode per seq — the cross-domain
     /// parent of the shard-side enqueue span.
-    last: HashMap<u64, SpanId>,
+    last: BTreeMap<u64, SpanId>,
 }
 
 /// Stable numeric codes for routing outcomes in span args.
@@ -200,15 +214,18 @@ pub(crate) mod outcome_code {
 
 impl RouterTracer {
     pub(crate) fn new(collector: Arc<TraceCollector>) -> RouterTracer {
-        RouterTracer { collector, open: HashMap::new(), last: HashMap::new() }
+        RouterTracer { collector, open: BTreeMap::new(), last: BTreeMap::new() }
     }
 
     fn open_episode(&mut self, seq: u64, tick: u64, resend_from: Option<u64>) {
-        let id =
-            self.collector.start(TraceId(seq), None, SpanKind::Route, ClockDomain::Fleet, tick);
-        if let Some(from) = resend_from {
-            self.collector.annotate(id, "resend_from", from);
-        }
+        let id = self.collector.batch().start_with(
+            TraceId(seq),
+            None,
+            SpanKind::Route,
+            ClockDomain::Fleet,
+            tick,
+            resend_from.map(|from| ("resend_from", from)).as_slice(),
+        );
         self.open.insert(seq, id);
     }
 
@@ -243,15 +260,12 @@ impl RouterTracer {
         );
     }
 
-    fn close(&mut self, seq: u64, tick: u64, outcome: u64, args: &[(&'static str, u64)]) {
+    /// Closes `seq`'s episode; `args` lead with its `outcome` code.
+    fn close(&mut self, seq: u64, tick: u64, args: &[(&'static str, u64)]) {
         let Some(id) = self.open.remove(&seq) else {
             return;
         };
-        self.collector.annotate(id, "outcome", outcome);
-        for &(k, v) in args {
-            self.collector.annotate(id, k, v);
-        }
-        self.collector.end(id, tick);
+        self.collector.batch().end_with(id, tick, args);
         self.last.insert(seq, id);
     }
 
@@ -259,17 +273,16 @@ impl RouterTracer {
         self.close(
             seq,
             tick,
-            outcome_code::DELIVERED,
-            &[("shard", shard), ("attempt", attempt)],
+            &[("outcome", outcome_code::DELIVERED), ("shard", shard), ("attempt", attempt)],
         );
     }
 
     pub(crate) fn on_shed(&mut self, seq: u64, shard: u64, tick: u64) {
-        self.close(seq, tick, outcome_code::SHED, &[("shard", shard)]);
+        self.close(seq, tick, &[("outcome", outcome_code::SHED), ("shard", shard)]);
     }
 
     pub(crate) fn on_failed(&mut self, seq: u64, reason: u64, tick: u64) {
-        self.close(seq, tick, outcome_code::FAILED, &[("reason", reason)]);
+        self.close(seq, tick, &[("outcome", outcome_code::FAILED), ("reason", reason)]);
     }
 
     /// The closed route span a delivery of `seq` came from.

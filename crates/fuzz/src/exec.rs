@@ -42,9 +42,9 @@ use rossl::{
     SeededBug, Supervisor,
 };
 use rossl_faults::{FaultyCostModel, FaultySocketSet};
-use rossl_fleet::{splitmix64, Fleet, FleetConfig, HashRing, Workload};
+use rossl_fleet::{marker_cost, splitmix64, Fleet, FleetConfig, HashRing, Workload};
 use rossl_journal::{recover, JournalWriter, KIND_EVENT};
-use rossl_model::{Duration, Instant, Job, Message, Mode, MsgData, SocketId, TaskSet, WcetTable};
+use rossl_model::{Duration, Instant, Job, Message, Mode, MsgData, SocketId, TaskSet};
 use rossl_obs::{check_trace, Registry, SchedSink, SchedulerMetrics, TraceCollector};
 use rossl_sockets::{ReadOutcome, SocketSet};
 use rossl_timing::{
@@ -162,26 +162,6 @@ impl Env {
 
     fn drained(&self) -> bool {
         self.sockets.total_enqueued() == 0
-    }
-}
-
-/// Virtual-clock cost of one marker in the raw drive. Only arrival
-/// gating and journal timestamps depend on it; every cost is ≥ 1 so the
-/// clock is strictly monotone.
-fn marker_cost(marker: &Marker, wcet: &WcetTable, tasks: &TaskSet) -> u64 {
-    match marker {
-        Marker::ReadStart | Marker::ReadEnd { .. } => 1,
-        Marker::Selection => wcet.selection.ticks(),
-        Marker::Dispatch(_) => wcet.dispatch.ticks(),
-        Marker::Execution(j) => tasks
-            .task(j.task())
-            .map(|t| t.wcet().ticks())
-            .unwrap_or(1)
-            .max(1),
-        Marker::Completion(_) => wcet.completion.ticks(),
-        // Mode switches are bounded like one idle iteration (see
-        // `rossl_timing::wcet_check`).
-        Marker::Idling | Marker::ModeSwitch { .. } => wcet.idling.ticks(),
     }
 }
 

@@ -66,6 +66,6 @@ pub use registry::{MetricSnapshot, MetricValue, Registry, Snapshot};
 pub use span::{SpanEvent, SpanLog};
 pub use trace::{
     check_trace, parse_chrome_trace, render_chrome_trace, ChromeEvent, ChromeParseError,
-    ClockDomain, Span, SpanId, SpanKind, TraceCheck, TraceCollector, TraceDefect, TraceId,
-    DEFAULT_TRACE_CAP,
+    ClockDomain, Span, SpanBatch, SpanId, SpanKind, TraceCheck, TraceCollector, TraceDefect,
+    TraceId, DEFAULT_TRACE_CAP,
 };

@@ -18,7 +18,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::metrics::Counter;
@@ -182,18 +181,20 @@ impl Span {
 
 #[derive(Debug, Default)]
 struct CollectorInner {
+    /// The next span id to hand out.
+    next: u64,
     open: Vec<Span>,
     closed: VecDeque<Span>,
 }
 
 /// A bounded concurrent span collector: open spans are tracked until
 /// closed, closed spans sit in a ring of capacity `cap` (oldest
-/// displaced first, counted). Span ids are allocated from a single
-/// atomic counter, so a single-threaded drive records deterministically.
+/// displaced first, counted). Span ids are allocated in lock order
+/// from a single counter, so a single-threaded drive records
+/// deterministically.
 #[derive(Debug)]
 pub struct TraceCollector {
     inner: Mutex<CollectorInner>,
-    next: AtomicU64,
     cap: usize,
     recorded: Arc<Counter>,
     displaced: Arc<Counter>,
@@ -213,7 +214,6 @@ impl TraceCollector {
     pub fn new(cap: usize) -> TraceCollector {
         TraceCollector {
             inner: Mutex::new(CollectorInner::default()),
-            next: AtomicU64::new(0),
             cap: cap.max(1),
             recorded: Arc::new(Counter::new()),
             displaced: Arc::new(Counter::new()),
@@ -244,23 +244,11 @@ impl TraceCollector {
         domain: ClockDomain,
         start: u64,
     ) -> SpanId {
-        let id = SpanId(self.next.fetch_add(1, Ordering::Relaxed));
-        self.lock().open.push(Span {
-            trace,
-            id,
-            parent,
-            link: None,
-            kind,
-            domain,
-            start,
-            end: start,
-            truncated: false,
-            args: Vec::new(),
-        });
-        id
+        self.batch().start_with(trace, parent, kind, domain, start, &[])
     }
 
-    /// Records an already-closed (possibly zero-length) span.
+    /// Records an already-closed (possibly zero-length) span carrying
+    /// `args`.
     pub fn instant(
         &self,
         trace: TraceId,
@@ -270,61 +258,44 @@ impl TraceCollector {
         at: u64,
         args: &[(&'static str, u64)],
     ) -> SpanId {
-        let id = self.start(trace, parent, kind, domain, at);
-        for &(k, v) in args {
-            self.annotate(id, k, v);
-        }
-        self.end(id, at);
-        id
+        self.batch().instant(trace, parent, kind, domain, at, args)
     }
 
     /// Adds a numeric annotation to an open span (no-op once closed).
     pub fn annotate(&self, id: SpanId, key: &'static str, value: u64) {
-        let mut inner = self.lock();
-        if let Some(s) = inner.open.iter_mut().find(|s| s.id == id) {
-            s.args.push((key, value));
-        }
+        self.batch().annotate(id, key, value);
     }
 
     /// Links an open span to its causal predecessor `target` (same
     /// trace, another clock domain — the migration seam).
     pub fn link(&self, id: SpanId, target: SpanId) {
-        let mut inner = self.lock();
-        if let Some(s) = inner.open.iter_mut().find(|s| s.id == id) {
-            s.link = Some(target);
-        }
-    }
-
-    fn push_closed(inner: &mut CollectorInner, cap: usize, span: Span, displaced: &Counter) {
-        if inner.closed.len() == cap {
-            inner.closed.pop_front();
-            displaced.inc();
-        }
-        inner.closed.push_back(span);
+        self.batch().link(id, target);
     }
 
     /// Closes span `id` at `end`. Unknown ids are ignored (the span may
     /// have been displaced or double-closed by a crashing emitter).
     pub fn end(&self, id: SpanId, end: u64) {
-        let mut inner = self.lock();
-        if let Some(pos) = inner.open.iter().position(|s| s.id == id) {
-            let mut span = inner.open.swap_remove(pos);
-            span.end = span.start.max(end);
-            self.recorded.inc();
-            TraceCollector::push_closed(&mut inner, self.cap, span, &self.displaced);
-        }
+        self.batch().end(id, end);
+    }
+
+    /// Holds the collector's lock for several span operations in a row
+    /// (a tracer hook that closes one phase and opens the next). Each
+    /// [`SpanBatch`] method records exactly what the collector method of
+    /// the same name does; `start_with` and `end_with` are `start` and
+    /// `end` that also annotate the span.
+    pub fn batch(&self) -> SpanBatch<'_> {
+        SpanBatch { collector: self, inner: self.lock(), closed: 0 }
     }
 
     /// Closes every still-open span as *truncated*, stamping its end
     /// from `end_of(domain)` — the final clock reading of the span's
     /// domain. Call once when the run stops.
     pub fn finish(&self, end_of: impl Fn(&ClockDomain) -> u64) {
-        let mut inner = self.lock();
-        for mut span in std::mem::take(&mut inner.open) {
+        let mut batch = self.batch();
+        for mut span in std::mem::take(&mut batch.inner.open) {
             span.end = span.start.max(end_of(&span.domain));
             span.truncated = true;
-            self.recorded.inc();
-            TraceCollector::push_closed(&mut inner, self.cap, span, &self.displaced);
+            batch.close(span);
         }
     }
 
@@ -346,6 +317,130 @@ impl TraceCollector {
     /// Spans currently open.
     pub fn open_count(&self) -> usize {
         self.lock().open.len()
+    }
+}
+
+/// The collector's lock held across several span operations; see
+/// [`TraceCollector::batch`].
+#[derive(Debug)]
+pub struct SpanBatch<'a> {
+    collector: &'a TraceCollector,
+    inner: std::sync::MutexGuard<'a, CollectorInner>,
+    /// Spans this batch closed, added to the `recorded` counter once
+    /// when it drops.
+    closed: u64,
+}
+
+impl Drop for SpanBatch<'_> {
+    fn drop(&mut self) {
+        if self.closed > 0 {
+            self.collector.recorded.add(self.closed);
+        }
+    }
+}
+
+impl SpanBatch<'_> {
+    fn new_span(
+        &mut self,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        kind: SpanKind,
+        domain: ClockDomain,
+        start: u64,
+        args: &[(&'static str, u64)],
+    ) -> Span {
+        let id = SpanId(self.inner.next);
+        self.inner.next += 1;
+        Span {
+            trace,
+            id,
+            parent,
+            link: None,
+            kind,
+            domain,
+            start,
+            end: start,
+            truncated: false,
+            args: args.to_vec(),
+        }
+    }
+
+    /// Moves `span` into the closed ring, displacing the oldest closed
+    /// span when the ring is full.
+    fn close(&mut self, span: Span) {
+        self.closed += 1;
+        if self.inner.closed.len() == self.collector.cap {
+            self.inner.closed.pop_front();
+            self.collector.displaced.inc();
+        }
+        self.inner.closed.push_back(span);
+    }
+
+    /// [`TraceCollector::start`], then one
+    /// [`TraceCollector::annotate`] per entry of `args`.
+    pub fn start_with(
+        &mut self,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        kind: SpanKind,
+        domain: ClockDomain,
+        start: u64,
+        args: &[(&'static str, u64)],
+    ) -> SpanId {
+        let span = self.new_span(trace, parent, kind, domain, start, args);
+        let id = span.id;
+        self.inner.open.push(span);
+        id
+    }
+
+    /// [`TraceCollector::instant`] under the held lock.
+    pub fn instant(
+        &mut self,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        kind: SpanKind,
+        domain: ClockDomain,
+        at: u64,
+        args: &[(&'static str, u64)],
+    ) -> SpanId {
+        let span = self.new_span(trace, parent, kind, domain, at, args);
+        let id = span.id;
+        self.close(span);
+        id
+    }
+
+    /// [`TraceCollector::end`] under the held lock.
+    pub fn end(&mut self, id: SpanId, end: u64) {
+        self.end_with(id, end, &[]);
+    }
+
+    /// One [`TraceCollector::annotate`] per entry of `args`, then
+    /// [`TraceCollector::end`].
+    pub fn end_with(&mut self, id: SpanId, end: u64, args: &[(&'static str, u64)]) {
+        if let Some(pos) = self.inner.open.iter().position(|s| s.id == id) {
+            let mut span = self.inner.open.swap_remove(pos);
+            span.args.extend_from_slice(args);
+            span.end = span.start.max(end);
+            self.close(span);
+        }
+    }
+
+    /// [`TraceCollector::annotate`] under the held lock.
+    pub fn annotate(&mut self, id: SpanId, key: &'static str, value: u64) {
+        if let Some(s) = self.open_mut(id) {
+            s.args.push((key, value));
+        }
+    }
+
+    /// [`TraceCollector::link`] under the held lock.
+    pub fn link(&mut self, id: SpanId, target: SpanId) {
+        if let Some(s) = self.open_mut(id) {
+            s.link = Some(target);
+        }
+    }
+
+    fn open_mut(&mut self, id: SpanId) -> Option<&mut Span> {
+        self.inner.open.iter_mut().find(|s| s.id == id)
     }
 }
 
@@ -978,6 +1073,35 @@ mod tests {
         assert_eq!(c.recorded(), 4);
         assert_eq!(c.displaced(), 2);
         assert_eq!(c.drain().len(), 2);
+    }
+
+    #[test]
+    fn batch_records_the_same_spans_as_single_calls() {
+        let sh = ClockDomain::Shard(1);
+        let t = TraceId(4);
+        let single = collector();
+        let e = single.start(t, None, SpanKind::Enqueue, sh, 3);
+        single.annotate(e, "latency", 2);
+        single.link(e, SpanId(9));
+        single.end(e, 5);
+        single.instant(t, Some(e), SpanKind::JournalAppend, sh, 5, &[("commit", 1)]);
+        let w = single.start(t, None, SpanKind::DispatchWait, sh, 5);
+        single.annotate(w, "task", 0);
+        single.annotate(w, "job", 7);
+        single.end(w, 8);
+
+        let batched = collector();
+        {
+            let mut b = batched.batch();
+            let e = b.start_with(t, None, SpanKind::Enqueue, sh, 3, &[("latency", 2)]);
+            b.link(e, SpanId(9));
+            b.end(e, 5);
+            b.instant(t, Some(e), SpanKind::JournalAppend, sh, 5, &[("commit", 1)]);
+            let w = b.start_with(t, None, SpanKind::DispatchWait, sh, 5, &[("task", 0)]);
+            b.end_with(w, 8, &[("job", 7)]);
+        }
+        assert_eq!(batched.recorded(), single.recorded());
+        assert_eq!(batched.drain(), single.drain());
     }
 
     #[test]

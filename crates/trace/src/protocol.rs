@@ -358,6 +358,31 @@ impl ProtocolAutomaton {
         self.accept_from(ProtocolState::INITIAL, trace)
     }
 
+    /// Checks a whole trace from the initial state without building its
+    /// actions: a fold of [`ProtocolAutomaton::step`] that returns the
+    /// final state. It accepts exactly the traces
+    /// [`ProtocolAutomaton::accept`] accepts and rejects the others with
+    /// the same [`ProtocolError`]; checkers that need only the verdict
+    /// use it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ProtocolError`] if the trace violates the
+    /// scheduler protocol.
+    pub fn validate(&self, trace: &[Marker]) -> Result<ProtocolState, ProtocolError> {
+        trace
+            .iter()
+            .enumerate()
+            .try_fold(ProtocolState::INITIAL, |state, (index, marker)| {
+                self.step(state, marker).map_err(|violation| ProtocolError {
+                    index,
+                    state,
+                    marker: marker.clone(),
+                    violation,
+                })
+            })
+    }
+
     /// Accepts a trace starting in an arbitrary state. Used by incremental
     /// monitors; [`ProtocolAutomaton::accept`] is the Def. 3.1 entry point.
     ///
