@@ -32,13 +32,14 @@
 //!   counterexample is the one with the lexicographically smallest
 //!   branch path — exactly the failure a sequential depth-first walk
 //!   reports first, regardless of interleaving.
-//! * **Deduplication** ([`ModelChecker::with_dedup`]): every visited
-//!   node is fingerprinted (scheduler state, monitor state, environment
-//!   cursors, depth, pending response). When a fingerprint recurs, the
-//!   memoized subtree *summary* (paths, steps, maximal trace length) of
-//!   its first occurrence is credited instead of re-exploring, so
-//!   [`CheckOutcome`] still reports full-tree totals while the machine
-//!   only walks each distinct state once per depth.
+//! * **Deduplication** ([`ModelChecker::with_dedup`]): every subtree
+//!   root — the walk's start and each branch child — is fingerprinted
+//!   (scheduler state, monitor state, environment cursors, depth,
+//!   pending response). When a fingerprint recurs, the memoized subtree
+//!   *summary* (paths, steps, maximal trace length) of its first
+//!   occurrence is credited instead of re-exploring, so [`CheckOutcome`]
+//!   still reports full-tree totals while the machine walks each
+//!   distinct subtree root once per depth.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -53,7 +54,8 @@ use rossl_trace::{check_functional, Marker, ProtocolAutomaton};
 
 use crate::monitor::SpecMonitor;
 use crate::shared::{
-    materialize_path, materialize_trace, push_path, push_trace, FailState, PathLink, TraceLink,
+    materialize_path, materialize_trace, materialize_trace_into, push_path, push_trace, FailState,
+    PathLink, TraceLink,
 };
 
 /// Aggregate result of an exhaustive exploration.
@@ -162,6 +164,26 @@ struct SubtreeSummary {
 
 const MEMO_SHARDS: usize = 64;
 
+/// Seeds of the fingerprint's two 64-bit halves.
+const FP_SEED_HI: u64 = 0x9e37_79b9_7f4a_7c15;
+const FP_SEED_LO: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// A [`Hasher`] that records the bytes it is fed instead of digesting
+/// them. `DefaultHasher` sends its integers through the trait defaults
+/// built on `write`, and its `write_str` writes the same bytes as the
+/// trait default, so the recorded stream is exactly what it would see.
+struct StreamRecorder<'a>(&'a mut Vec<u8>);
+
+impl Hasher for StreamRecorder<'_> {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("a stream recorder is replayed into a real hasher, never finished")
+    }
+}
+
 /// Sharded fingerprint → summary map. Sharding by the low fingerprint
 /// bits keeps lock contention negligible even when every worker hits the
 /// memo on every step.
@@ -203,6 +225,10 @@ impl Memo {
 struct ExploreAcc {
     outcome: CheckOutcome,
     stats: ExploreStats,
+    /// Per-worker scratch, reused from node to node and never merged:
+    /// the recorded fingerprint stream and the materialized leaf trace.
+    fp_stream: Vec<u8>,
+    leaf_trace: Vec<Marker>,
 }
 
 impl Reduce for ExploreAcc {
@@ -322,10 +348,10 @@ impl ModelChecker {
     }
 
     /// Enables (or disables) fingerprint deduplication. Confluent
-    /// interleavings that reconverge to the same scheduler, monitor and
-    /// environment state at the same depth are explored once and credited
-    /// from a memoized summary thereafter; [`CheckOutcome`] still reports
-    /// full-tree totals. The trade-off is the (documented, DESIGN §6)
+    /// interleavings whose branch children reconverge to the same
+    /// scheduler, monitor and environment state at the same depth are
+    /// explored once and credited from a memoized summary thereafter;
+    /// [`CheckOutcome`] still reports full-tree totals. The trade-off is the (documented, DESIGN §6)
     /// 2⁻¹²⁸-per-pair fingerprint collision risk; run with `dedup(false)`
     /// — the default — for the fully exhaustive walk.
     pub fn with_dedup(mut self, dedup: bool) -> ModelChecker {
@@ -431,12 +457,17 @@ impl ModelChecker {
     /// path is `path`), folding leaf and memo contributions into the
     /// worker accumulator.
     ///
+    /// With deduplication the root alone is looked up and, once its
+    /// subtree is complete, memoized: its summary covers everything
+    /// below, so reconvergence inside the linear segment is caught at
+    /// the next branch child instead.
+    ///
     /// Returns the subtree's summary when this call explored it
-    /// completely — the condition for memoizing the fingerprints
-    /// collected along the way. Returns `None` when part of the subtree
-    /// was donated to the pool (its contribution arrives through another
-    /// worker's accumulator, so no frame on this stack may memoize) or
-    /// when the walk aborted on a failure.
+    /// completely — the condition for memoizing the root's fingerprint.
+    /// Returns `None` when part of the subtree was donated to the pool
+    /// (its contribution arrives through another worker's accumulator,
+    /// so no frame on this stack may memoize) or when the walk aborted
+    /// on a failure.
     fn explore(
         &self,
         mut node: ExploreNode,
@@ -445,45 +476,49 @@ impl ModelChecker {
         fail: &FailState<CheckFailure>,
         memo: Option<&Memo>,
     ) -> Option<SubtreeSummary> {
+        if fail.beats(&path) {
+            return None;
+        }
+        let root_fp = match memo {
+            Some(memo) => {
+                let acc = ctx.acc();
+                let fp = self.fingerprint(&node, &mut acc.fp_stream);
+                acc.stats.memo_lookups += 1;
+                if let Some(hit) = memo.get(fp) {
+                    acc.outcome.paths += hit.paths;
+                    acc.outcome.steps += hit.steps;
+                    acc.outcome.max_trace_len =
+                        acc.outcome.max_trace_len.max(node.steps + hit.max_suffix);
+                    acc.stats.memo_hits += 1;
+                    acc.stats.pruned_paths += hit.paths;
+                    acc.stats.pruned_steps += hit.steps;
+                    return Some(hit);
+                }
+                Some(fp)
+            }
+            None => None,
+        };
         let entry_steps = node.steps;
         let mut paths_below: u64 = 0;
         let mut steps_below: u64 = 0;
         let mut max_len = entry_steps;
-        // Fingerprints of this call's linear segment (between branch
-        // points every node dominates the rest of the subtree, so they
-        // all share the summary modulo depth offsets).
-        let mut seg: Vec<(u128, usize)> = Vec::new();
         let mut clean = true;
 
         loop {
             if fail.beats(&path) {
                 return None;
             }
-            if let Some(memo) = memo {
-                let fp = self.fingerprint(&node);
-                ctx.acc().stats.memo_lookups += 1;
-                if let Some(hit) = memo.get(fp) {
-                    let acc = ctx.acc();
-                    acc.outcome.paths += hit.paths;
-                    acc.outcome.steps += hit.steps;
-                    acc.outcome.max_trace_len = acc.outcome.max_trace_len.max(node.steps + hit.max_suffix);
-                    acc.stats.memo_hits += 1;
-                    acc.stats.pruned_paths += hit.paths;
-                    acc.stats.pruned_steps += hit.steps;
-                    paths_below += hit.paths;
-                    steps_below += hit.steps;
-                    max_len = max_len.max(node.steps + hit.max_suffix);
-                    break;
-                }
-                seg.push((fp, node.steps));
+            #[cfg(test)]
+            if memo.is_some() {
+                oracle::assert_recorded_fingerprint(self, &node, &mut ctx.acc().fp_stream);
             }
             if node.steps >= self.max_steps {
-                let trace = materialize_trace(&node.trace);
-                if let Err(failure) = self.check_leaf(&trace) {
+                let acc = ctx.acc();
+                materialize_trace_into(&node.trace, &mut acc.leaf_trace);
+                if let Err(failure) = self.check_leaf(&acc.leaf_trace) {
                     fail.record(path, failure);
                     return None;
                 }
-                let acc = ctx.acc();
                 acc.outcome.paths += 1;
                 acc.outcome.max_trace_len = acc.outcome.max_trace_len.max(node.steps);
                 acc.stats.explored_paths += 1;
@@ -614,23 +649,15 @@ impl ModelChecker {
         if !clean {
             return None;
         }
-        if let Some(memo) = memo {
-            for &(fp, at_steps) in &seg {
-                memo.insert(
-                    fp,
-                    SubtreeSummary {
-                        paths: paths_below,
-                        steps: steps_below - (at_steps - entry_steps) as u64,
-                        max_suffix: max_len.saturating_sub(at_steps),
-                    },
-                );
-            }
-        }
-        Some(SubtreeSummary {
+        let summary = SubtreeSummary {
             paths: paths_below,
             steps: steps_below,
             max_suffix: max_len - entry_steps,
-        })
+        };
+        if let (Some(memo), Some(fp)) = (memo, root_fp) {
+            memo.insert(fp, summary);
+        }
+        Some(summary)
     }
 
     /// Resolves a branch point with children `zero` (explored first)
@@ -711,29 +738,36 @@ impl ModelChecker {
     /// and the buffered response. Two nodes with equal fingerprints have
     /// (collisions aside) identical behaviour subtrees — see DESIGN §6
     /// for the argument.
-    fn fingerprint(&self, node: &ExploreNode) -> u128 {
-        let feed = |h: &mut DefaultHasher| {
-            node.scheduler.state_digest(h);
-            node.monitor.state_digest(h);
-            node.consumed.hash(h);
-            node.steps.hash(h);
-            node.response.hash(h);
+    ///
+    /// The state's `Hash` byte stream is recorded once into `stream` and
+    /// each seeded half hashes it in one `write`. `DefaultHasher` digests
+    /// a byte stream independently of how it is split into writes, so
+    /// the value equals feeding every field to both hashers in turn.
+    fn fingerprint(&self, node: &ExploreNode, stream: &mut Vec<u8>) -> u128 {
+        stream.clear();
+        let mut rec = StreamRecorder(stream);
+        node.scheduler.state_digest(&mut rec);
+        node.monitor.state_digest(&mut rec);
+        node.consumed.hash(&mut rec);
+        node.steps.hash(&mut rec);
+        node.response.hash(&mut rec);
+        let half = |seed: u64| {
+            let mut h = DefaultHasher::new();
+            h.write_u64(seed);
+            h.write(stream);
+            h.finish()
         };
-        let mut h1 = DefaultHasher::new();
-        h1.write_u64(0x9e37_79b9_7f4a_7c15);
-        feed(&mut h1);
-        let mut h2 = DefaultHasher::new();
-        h2.write_u64(0xc2b2_ae3d_27d4_eb4f);
-        feed(&mut h2);
-        ((h1.finish() as u128) << 64) | h2.finish() as u128
+        ((half(FP_SEED_HI) as u128) << 64) | half(FP_SEED_LO) as u128
     }
 
     /// Leaf check: whole-trace acceptance (Def. 3.1) and functional
     /// correctness (Def. 3.2) — redundant with the online monitor by
     /// design (two independently written checkers guard each other).
+    /// Only the verdict is needed, so the protocol check validates
+    /// without building the action spans; the error is the same.
     fn check_leaf(&self, trace: &[Marker]) -> Result<(), CheckFailure> {
         ProtocolAutomaton::new(self.config.n_sockets())
-            .accept(trace)
+            .validate(trace)
             .map_err(|e| CheckFailure {
                 trace: trace.to_vec(),
                 reason: format!("protocol rejected: {e}"),
@@ -742,6 +776,48 @@ impl ModelChecker {
             trace: trace.to_vec(),
             reason: format!("functional correctness: {e}"),
         })
+    }
+}
+
+/// Test-only reference for the recorded fingerprint: every field fed to
+/// both seeded hashers in turn, as the checker once computed it.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Nodes at which the recorded fingerprint was checked, process-wide.
+    pub(super) static CHECKED: AtomicU64 = AtomicU64::new(0);
+
+    fn streaming_fingerprint(node: &ExploreNode) -> u128 {
+        let feed = |h: &mut DefaultHasher| {
+            node.scheduler.state_digest(h);
+            node.monitor.state_digest(h);
+            node.consumed.hash(h);
+            node.steps.hash(h);
+            node.response.hash(h);
+        };
+        let mut h1 = DefaultHasher::new();
+        h1.write_u64(FP_SEED_HI);
+        feed(&mut h1);
+        let mut h2 = DefaultHasher::new();
+        h2.write_u64(FP_SEED_LO);
+        feed(&mut h2);
+        ((h1.finish() as u128) << 64) | h2.finish() as u128
+    }
+
+    pub(super) fn assert_recorded_fingerprint(
+        mc: &ModelChecker,
+        node: &ExploreNode,
+        stream: &mut Vec<u8>,
+    ) {
+        assert_eq!(
+            mc.fingerprint(node, stream),
+            streaming_fingerprint(node),
+            "recorded fingerprint diverged at depth {}",
+            node.steps
+        );
+        CHECKED.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1102,6 +1178,104 @@ mod tests {
                 "threads={threads} dedup={dedup}"
             );
             assert_eq!(failure.reason, baseline.reason);
+        }
+    }
+
+    /// The benchmark's six model-check configurations (`single`,
+    /// `canonical`, `bursty`, `scaled(4|8|16)`, with their message
+    /// queues and depths).
+    fn benchmark_checkers() -> Vec<ModelChecker> {
+        fn set(tasks: &[(u32, u64, Curve)]) -> TaskSet {
+            TaskSet::new(
+                tasks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (prio, wcet, curve))| {
+                        Task::new(
+                            TaskId(i),
+                            format!("t{i}"),
+                            Priority(*prio),
+                            Duration(*wcet),
+                            curve.clone(),
+                        )
+                    })
+                    .collect(),
+            )
+            .unwrap()
+        }
+        let scaled = |n: usize| {
+            set(&(0..n)
+                .map(|i| {
+                    (
+                        (n - i) as u32,
+                        10 + 5 * i as u64,
+                        Curve::sporadic(Duration(2_000 + 500 * i as u64)),
+                    )
+                })
+                .collect::<Vec<_>>())
+        };
+        let two_socket = [
+            set(&[
+                (0, 60, Curve::sporadic(Duration(4_000))),
+                (5, 25, Curve::sporadic(Duration(1_500))),
+                (9, 10, Curve::sporadic(Duration(1_000))),
+            ]),
+            set(&[
+                (3, 15, Curve::leaky_bucket(3, 1, 1_500)),
+                (6, 10, Curve::sporadic(Duration(800))),
+            ]),
+            scaled(4),
+            scaled(8),
+            scaled(16),
+        ];
+        let single = set(&[(1, 20, Curve::sporadic(Duration(500)))]);
+        let mut checkers = vec![ModelChecker::new(
+            ClientConfig::new(single, 1).unwrap(),
+            vec![vec![vec![0]; 6]],
+            50,
+        )];
+        for tasks in two_socket {
+            let n = tasks.len();
+            let pending = (0..2)
+                .map(|s| vec![vec![((2 * s) % n) as u8], vec![((2 * s + 1) % n) as u8]])
+                .collect();
+            checkers.push(ModelChecker::new(
+                ClientConfig::new(tasks, 2).unwrap(),
+                pending,
+                36,
+            ));
+        }
+        checkers
+    }
+
+    /// The recorded fingerprint equals the streaming two-pass one at
+    /// every node explored, on the benchmark configurations and an AMC
+    /// configuration, and root-only memoization keeps their outcomes.
+    #[test]
+    fn recorded_fingerprint_matches_streaming_at_every_node() {
+        use std::sync::atomic::Ordering;
+
+        let amc = ModelChecker::new(
+            ClientConfig::new(mixed_tasks(7), 1).unwrap(),
+            vec![vec![vec![0], vec![1], vec![0]]],
+            44,
+        )
+        .with_mode_policy(ModePolicy::Amc { hysteresis_idles: 1 });
+        let mut checkers = benchmark_checkers();
+        checkers.push(amc);
+        for mc in checkers {
+            let plain = mc.check().unwrap();
+            let before = oracle::CHECKED.load(Ordering::Relaxed);
+            let (outcome, stats) = mc.with_dedup(true).check_with_stats().unwrap();
+            let checked = oracle::CHECKED.load(Ordering::Relaxed) - before;
+            assert_eq!(outcome, plain);
+            // One check per explored node: each executed step and each
+            // explored leaf (other tests only add to the counter).
+            assert!(
+                checked >= stats.explored_steps + stats.explored_paths,
+                "checked {checked} nodes, stats: {stats}"
+            );
+            assert!(stats.memo_hits > 0, "stats: {stats}");
         }
     }
 }

@@ -20,6 +20,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 use rossl::{DegradedEvent, ModePolicy};
 use rossl_model::{Criticality, Job, JobId, Mode, Priority, TaskSet};
@@ -220,7 +221,9 @@ impl std::error::Error for SpecViolation {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpecMonitor {
-    tasks: TaskSet,
+    /// Shared, not copied: the model checker clones the monitor at
+    /// every branch point, and the task set never changes.
+    tasks: Arc<TaskSet>,
     automaton: ProtocolAutomaton,
     state: ProtocolState,
     pending: BTreeMap<JobId, Job>,
@@ -251,7 +254,7 @@ impl SpecMonitor {
     /// Panics if `n_sockets` is zero.
     pub fn new(tasks: TaskSet, n_sockets: usize) -> SpecMonitor {
         SpecMonitor {
-            tasks,
+            tasks: Arc::new(tasks),
             automaton: ProtocolAutomaton::new(n_sockets),
             state: ProtocolState::INITIAL,
             pending: BTreeMap::new(),

@@ -29,13 +29,20 @@ pub(crate) fn push_trace(link: &TraceLink, marker: Marker) -> TraceLink {
 
 pub(crate) fn materialize_trace(link: &TraceLink) -> Vec<Marker> {
     let mut out = Vec::new();
+    materialize_trace_into(link, &mut out);
+    out
+}
+
+/// [`materialize_trace`] into a caller-owned buffer, so engines that
+/// check every leaf reuse one allocation per worker.
+pub(crate) fn materialize_trace_into(link: &TraceLink, out: &mut Vec<Marker>) {
+    out.clear();
     let mut cur = link;
     while let Some(node) = cur {
         out.push(node.marker.clone());
         cur = &node.parent;
     }
     out.reverse();
-    out
 }
 
 /// Persistent branch-decision path. Lexicographic order on materialized

@@ -121,6 +121,37 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Deduplication memoizes subtree roots only — the walk's start and
+    /// each branch child. On 1, 2 and 4 threads it must still give the
+    /// exhaustive walk's outcome or first counterexample, and its work
+    /// split must reconstruct the totals. On success each explore call
+    /// is one lookup: the calls form a binary tree whose leaves are the
+    /// explored paths and the memo hits, less one inline child per
+    /// donated branch.
+    #[test]
+    fn root_only_dedup_matches_exhaustive(s in arb_scenario()) {
+        let mc = checker_for(&s);
+        let baseline = verdict(&mc);
+        for threads in [1, 2, 4] {
+            let run = mc.clone().with_threads(threads).with_dedup(true).check_with_stats();
+            let variant: Verdict = run.clone().map(|(o, _)| o).map_err(|f| (f.trace, f.reason));
+            prop_assert_eq!(&variant, &baseline, "threads={} diverged on {:?}", threads, s);
+            if let Ok((outcome, stats)) = run {
+                prop_assert_eq!(stats.explored_paths + stats.pruned_paths, outcome.paths, "{:?}", s);
+                prop_assert_eq!(stats.explored_steps + stats.pruned_steps, outcome.steps, "{:?}", s);
+                prop_assert_eq!(
+                    stats.memo_lookups + stats.donated_subtrees + 1,
+                    2 * (stats.explored_paths + stats.memo_hits),
+                    "threads={} {}: {:?}", threads, stats, s
+                );
+            }
+        }
+    }
+}
+
 /// The canonical seeded-bug fixture (scheduler priorities (1, 9), spec
 /// expects (9, 1)): all modes must report the exact counterexample the
 /// sequential depth-first walk finds first.

@@ -29,10 +29,10 @@ use std::fmt;
 
 use prosa::{analyse, AnalysisParams, AnalysisResult, RtaError};
 use rossl_model::{CurveViolation, Duration, Instant, JobId, OverheadBounds, TaskId};
-use rossl_schedule::{check_validity, convert, ConversionError, ValidityError};
+use rossl_schedule::{check_validity, convert_run, ConversionError, ValidityError};
 use rossl_sockets::ArrivalSequence;
 use rossl_timing::{
-    check_consistency, check_wcet_compliance, ConsistencyError, SimulationResult, WcetViolation,
+    check_consistency, check_wcet_run, ConsistencyError, SimulationResult, WcetViolation,
 };
 use rossl_trace::{check_functional, FunctionalError, Marker, ProtocolAutomaton, ProtocolError};
 
@@ -235,8 +235,10 @@ impl TimingVerifier {
             .check_respects_curves(tasks)
             .map_err(|(task, violation)| VerificationError::ArrivalCurve { task, violation })?;
 
-        // Hypothesis 2: scheduler protocol (Def. 3.1).
-        ProtocolAutomaton::new(n_sockets)
+        // Hypothesis 2: scheduler protocol (Def. 3.1). The accepted run
+        // delimits the basic actions hypotheses 4 and 6 are about, so the
+        // trace is accepted once here and the run passed on.
+        let actions = ProtocolAutomaton::new(n_sockets)
             .accept(run.trace.markers())
             .map_err(VerificationError::Protocol)?;
 
@@ -244,18 +246,23 @@ impl TimingVerifier {
         check_functional(run.trace.markers(), tasks).map_err(VerificationError::Functional)?;
 
         // Hypothesis 4: WCET compliance (§2.3).
-        check_wcet_compliance(&run.trace, tasks, wcet, n_sockets)
-            .map_err(VerificationError::Wcet)?;
+        check_wcet_run(&actions, &run.trace, tasks, wcet).map_err(VerificationError::Wcet)?;
 
         // Hypothesis 5: consistency with the arrivals (Def. 2.1).
         check_consistency(&run.trace, arrivals).map_err(VerificationError::Consistency)?;
 
         // Hypothesis 6: schedule validity (§2.4).
-        let schedule = convert(&run.trace, n_sockets).map_err(VerificationError::Conversion)?;
+        let schedule = convert_run(&actions, &run.trace).map_err(VerificationError::Conversion)?;
         let bounds = OverheadBounds::derive(wcet, n_sockets);
         check_validity(&schedule, tasks, &bounds).map_err(VerificationError::Validity)?;
 
-        // Conclusion: every due arrival completes within R_i + J_i.
+        Ok(self.conclusion(arrivals, run))
+    }
+
+    /// The theorem's conclusion on a run whose hypotheses hold: every due
+    /// arrival completes within `R_i + J_i`.
+    fn conclusion(&self, arrivals: &ArrivalSequence, run: &SimulationResult) -> VerificationReport {
+        let tasks = self.params.tasks();
         let arrival_jobs = match_arrivals_to_jobs(arrivals, run.trace.markers());
         // Precomputed completion instants (one trace pass instead of one
         // per arrival).
@@ -310,7 +317,7 @@ impl TimingVerifier {
             })
             .collect();
 
-        Ok(VerificationReport {
+        VerificationReport {
             jobs_arrived: arrivals.len(),
             jobs_completed: run.completed_count(),
             jobs_with_due_deadline: due,
@@ -318,7 +325,7 @@ impl TimingVerifier {
             violations,
             per_task,
             max_read_lag: run.max_read_lag(),
-        })
+        }
     }
 }
 
@@ -451,5 +458,217 @@ mod tests {
             TimingVerifier::new(params, Duration(10_000)),
             Err(VerificationError::Analysis(_))
         ));
+    }
+
+    /// `verify` accepts the trace once and passes the run to hypotheses
+    /// 4 and 6. These properties pin it, and the run entry points it
+    /// uses, to the standalone composition in which each of hypotheses
+    /// 2, 4 and 6 accepts the trace itself.
+    mod single_accept {
+        use super::*;
+        use crate::{RosslSystem, SystemBuilder};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use rossl_faults::{FaultClass, FaultPlan};
+        use rossl_schedule::convert;
+        use rossl_timing::{check_wcet_compliance, TimedTrace, UniformCost};
+
+        /// The standalone composition: `check_wcet_compliance` and
+        /// `convert` each accept the trace again.
+        fn reference_verify(
+            v: &TimingVerifier,
+            arrivals: &ArrivalSequence,
+            run: &SimulationResult,
+        ) -> Result<VerificationReport, VerificationError> {
+            let tasks = v.params.tasks();
+            let n_sockets = v.params.n_sockets();
+            let wcet = v.params.wcet();
+            arrivals
+                .check_respects_curves(tasks)
+                .map_err(|(task, violation)| VerificationError::ArrivalCurve { task, violation })?;
+            ProtocolAutomaton::new(n_sockets)
+                .accept(run.trace.markers())
+                .map_err(VerificationError::Protocol)?;
+            check_functional(run.trace.markers(), tasks).map_err(VerificationError::Functional)?;
+            check_wcet_compliance(&run.trace, tasks, wcet, n_sockets)
+                .map_err(VerificationError::Wcet)?;
+            check_consistency(&run.trace, arrivals).map_err(VerificationError::Consistency)?;
+            let schedule = convert(&run.trace, n_sockets).map_err(VerificationError::Conversion)?;
+            let bounds = OverheadBounds::derive(wcet, n_sockets);
+            check_validity(&schedule, tasks, &bounds).map_err(VerificationError::Validity)?;
+            Ok(v.conclusion(arrivals, run))
+        }
+
+        /// The `pipeline_properties` systems: 1–3 tasks, 1–2 sockets.
+        fn arb_system() -> impl Strategy<Value = RosslSystem> {
+            (
+                proptest::collection::vec((1u32..10, 5u64..30), 1..4),
+                1usize..3,
+            )
+                .prop_map(|(specs, n_sockets)| {
+                    let mut b = SystemBuilder::new().sockets(n_sockets);
+                    for (i, (prio, wcet)) in specs.iter().enumerate() {
+                        b = b.task(
+                            format!("t{i}"),
+                            Priority(*prio),
+                            Duration(*wcet),
+                            Curve::sporadic(Duration(700 + 400 * i as u64)),
+                        );
+                    }
+                    b.build().expect("valid")
+                })
+        }
+
+        /// The E16 socket and cost fault classes (process and fleet
+        /// faults never reach the timing pipeline).
+        fn arb_fault() -> impl Strategy<Value = Option<FaultClass>> {
+            proptest::option::of(prop_oneof![
+                Just(FaultClass::Drop),
+                Just(FaultClass::Duplicate),
+                Just(FaultClass::Reroute),
+                (2u32..5).prop_map(|factor| FaultClass::Burst { factor }),
+                (1u64..40).prop_map(|d| FaultClass::DelayedVisibility { delay: Duration(d) }),
+                (1u64..60).prop_map(|s| FaultClass::UniformDelay { shift: Duration(s) }),
+                (2u32..5).prop_map(|factor| FaultClass::WcetOverrun { factor }),
+                (1u64..10).prop_map(|e| FaultClass::ClockJitter { extra: Duration(e) }),
+                (2u32..4).prop_map(|factor| FaultClass::StalledIdle { factor }),
+                (1u32..4).prop_map(|divisor| FaultClass::ExecutionSlack { divisor }),
+            ])
+        }
+
+        /// How a simulated trace is corrupted before checking.
+        #[derive(Debug, Clone, Copy)]
+        enum Mutation {
+            Keep,
+            /// Cut the trace after a marker.
+            Truncate,
+            /// Remove one marker.
+            Drop,
+            /// Exchange two adjacent markers (timestamps stay).
+            Swap,
+            /// Delay every marker from one on by `extra` ticks.
+            Stretch(u64),
+        }
+
+        fn arb_mutation() -> impl Strategy<Value = (Mutation, u16)> {
+            (
+                prop_oneof![
+                    Just(Mutation::Keep),
+                    Just(Mutation::Truncate),
+                    Just(Mutation::Drop),
+                    Just(Mutation::Swap),
+                    (1u64..40).prop_map(Mutation::Stretch),
+                ],
+                0u16..=u16::MAX,
+            )
+        }
+
+        fn mutate(trace: &TimedTrace, mutation: Mutation, at: u16) -> TimedTrace {
+            let mut markers = trace.markers().to_vec();
+            let mut stamps = trace.timestamps().to_vec();
+            let at = usize::from(at) * markers.len() / (usize::from(u16::MAX) + 1);
+            match mutation {
+                Mutation::Keep => {}
+                Mutation::Truncate => {
+                    markers.truncate(at);
+                    stamps.truncate(at);
+                }
+                Mutation::Drop if at < markers.len() => {
+                    markers.remove(at);
+                    stamps.remove(at);
+                }
+                Mutation::Swap if at + 1 < markers.len() => markers.swap(at, at + 1),
+                Mutation::Stretch(extra) => {
+                    for t in &mut stamps[at..] {
+                        *t = t.saturating_add(Duration(extra));
+                    }
+                }
+                Mutation::Drop | Mutation::Swap => {}
+            }
+            TimedTrace::new(markers, stamps).expect("mutations keep timestamps monotone")
+        }
+
+        /// A seeded run of `system`, under `fault` when given, with its
+        /// trace mutated; and the arrival sequence verification claims.
+        fn case(
+            system: &RosslSystem,
+            seed: u64,
+            fault: Option<FaultClass>,
+            (mutation, at): (Mutation, u16),
+        ) -> (ArrivalSequence, SimulationResult) {
+            let horizon = Instant(6_000);
+            let arrivals = system.random_workload(seed, horizon);
+            let cost = UniformCost::new(StdRng::seed_from_u64(seed ^ 0xABCD));
+            let (claimed, mut run) = match fault {
+                None => {
+                    let run = system
+                        .simulate(&arrivals, cost, horizon)
+                        .expect("simulation");
+                    (arrivals, run)
+                }
+                Some(class) => {
+                    let plan = FaultPlan::single(seed ^ 0x51, class, 600);
+                    let faulty = system
+                        .simulate_faulty(&arrivals, cost, &plan, None, horizon)
+                        .expect("faulty simulation");
+                    (faulty.claimed(&plan, &arrivals).clone(), faulty.result)
+                }
+            };
+            run.trace = mutate(&run.trace, mutation, at);
+            (claimed, run)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// `check_wcet_run` and `convert_run` on the accepted run give
+            /// what the standalone checks give: the same `Ok`, or the same
+            /// error (a protocol error when the trace is not accepted).
+            #[test]
+            fn run_entry_points_match_standalone_checks(
+                system in arb_system(),
+                seed in 0u64..500,
+                fault in arb_fault(),
+                mutation in arb_mutation(),
+            ) {
+                let (_, run) = case(&system, seed, fault, mutation);
+                let (tasks, wcet, n) = (system.tasks(), system.wcet(), system.n_sockets());
+                let staged = match ProtocolAutomaton::new(n).accept(run.trace.markers()) {
+                    Ok(actions) => (
+                        check_wcet_run(&actions, &run.trace, tasks, wcet),
+                        convert_run(&actions, &run.trace),
+                    ),
+                    Err(e) => (
+                        Err(WcetViolation::Protocol(e.clone())),
+                        Err(ConversionError::Protocol(e)),
+                    ),
+                };
+                let standalone = (
+                    check_wcet_compliance(&run.trace, tasks, wcet, n),
+                    convert(&run.trace, n),
+                );
+                prop_assert_eq!(staged, standalone);
+            }
+
+            /// `verify` returns the report or error of the standalone
+            /// composition, hypothesis order included.
+            #[test]
+            fn verify_matches_standalone_composition(
+                system in arb_system(),
+                seed in 0u64..500,
+                fault in arb_fault(),
+                mutation in arb_mutation(),
+            ) {
+                let Ok(verifier) = system.verifier(Duration(300_000)) else {
+                    return Ok(()); // unschedulable
+                };
+                let (claimed, run) = case(&system, seed, fault, mutation);
+                prop_assert_eq!(
+                    format!("{:?}", verifier.verify(&claimed, &run)),
+                    format!("{:?}", reference_verify(&verifier, &claimed, &run))
+                );
+            }
+        }
     }
 }

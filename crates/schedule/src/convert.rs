@@ -28,7 +28,7 @@ use std::fmt;
 
 use rossl_model::Instant;
 use rossl_timing::TimedTrace;
-use rossl_trace::{BasicAction, ProtocolAutomaton, ProtocolError};
+use rossl_trace::{BasicAction, ProtocolAutomaton, ProtocolError, ProtocolRun};
 
 use crate::schedule::{Schedule, Segment};
 use crate::state::{JobRef, ProcessorState};
@@ -106,6 +106,19 @@ impl From<ProtocolError> for ConversionError {
 /// ```
 pub fn convert(trace: &TimedTrace, n_sockets: usize) -> Result<Schedule, ConversionError> {
     let run = ProtocolAutomaton::new(n_sockets).accept(trace.markers())?;
+    convert_run(&run, trace)
+}
+
+/// [`convert`] for a trace whose protocol run is already at hand: `run`
+/// must be the acceptance of `trace.markers()`. A pipeline that accepts
+/// the trace once for several checks passes the run on instead of
+/// accepting it again.
+///
+/// # Errors
+///
+/// Returns [`ConversionError::Assembly`] on an internal assembly defect
+/// (never [`ConversionError::Protocol`]: the trace is already accepted).
+pub fn convert_run(run: &ProtocolRun, trace: &TimedTrace) -> Result<Schedule, ConversionError> {
     let mut segments: Vec<Segment> = Vec::new();
     // Start instant of the current run of not-yet-attributed failed reads.
     let mut fail_run_start: Option<Instant> = None;

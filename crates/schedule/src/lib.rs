@@ -29,7 +29,7 @@ mod schedule;
 mod state;
 mod validity;
 
-pub use convert::{convert, ConversionError};
+pub use convert::{convert, convert_run, ConversionError};
 pub use render::{glyph, render_timeline};
 pub use schedule::{Schedule, Segment};
 pub use state::{JobRef, ProcessorState, StateKind};

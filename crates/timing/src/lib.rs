@@ -41,4 +41,4 @@ pub use consistency::{check_consistency, ConsistencyError};
 pub use cost::{CostModel, FixedFraction, Segment, UniformCost, WorstCase};
 pub use simulator::{JobRecord, SimulationError, SimulationResult, Simulator};
 pub use timed_trace::{TimedTrace, TimedTraceError};
-pub use wcet_check::{check_wcet_compliance, WcetViolation};
+pub use wcet_check::{check_wcet_compliance, check_wcet_run, WcetViolation};

@@ -15,7 +15,7 @@
 use std::fmt;
 
 use rossl_model::{Duration, TaskId, TaskSet, WcetTable};
-use rossl_trace::{ActionSpan, BasicAction, ProtocolAutomaton, ProtocolError};
+use rossl_trace::{ActionSpan, BasicAction, ProtocolAutomaton, ProtocolError, ProtocolRun};
 
 use crate::timed_trace::TimedTrace;
 
@@ -132,6 +132,24 @@ pub fn check_wcet_compliance(
     n_sockets: usize,
 ) -> Result<(), WcetViolation> {
     let run = ProtocolAutomaton::new(n_sockets).accept(trace.markers())?;
+    check_wcet_run(&run, trace, tasks, wcet)
+}
+
+/// [`check_wcet_compliance`] for a trace whose protocol run is already
+/// at hand: `run` must be the acceptance of `trace.markers()`. A
+/// pipeline that accepts the trace once for several checks passes the
+/// run on instead of accepting it again.
+///
+/// # Errors
+///
+/// Returns the first [`WcetViolation`] in trace order (never
+/// [`WcetViolation::Protocol`]: the trace is already accepted).
+pub fn check_wcet_run(
+    run: &ProtocolRun,
+    trace: &TimedTrace,
+    tasks: &TaskSet,
+    wcet: &WcetTable,
+) -> Result<(), WcetViolation> {
     for span in run.complete_actions() {
         let end = span.end.expect("complete_actions yields closed spans");
         let actual = trace
