@@ -8,14 +8,15 @@ use prosa::{analyse, analyse_baseline, BlackoutBound, RosslSupply, SupplyBound};
 use refined_prosa_bench::setup;
 use rossl_model::{Duration, Instant};
 
-/// B5a: supply-bound-function construction and point evaluation.
+/// B5a: supply-bound-function table construction (on the first `sbf`
+/// call), point evaluation, and the solver's fixed-point inverse.
 fn bench_sbf(c: &mut Criterion) {
     let system = setup::canonical();
     let mut group = c.benchmark_group("sbf");
     group.bench_function("construct_100k", |b| {
         b.iter(|| {
             let bb = BlackoutBound::for_config(system.tasks(), system.wcet(), system.n_sockets());
-            RosslSupply::new(bb, Duration(100_000)).horizon()
+            RosslSupply::new(bb, Duration(100_000)).sbf(Duration(100_000))
         })
     });
     let bb = BlackoutBound::for_config(system.tasks(), system.wcet(), system.n_sockets());
@@ -25,6 +26,16 @@ fn bench_sbf(c: &mut Criterion) {
             let mut acc = Duration::ZERO;
             for d in (0..100_000u64).step_by(997) {
                 acc = acc.saturating_add(sbf.sbf(Duration(d)));
+            }
+            acc
+        })
+    });
+    group.bench_function("inverse_sweep", |b| {
+        b.iter(|| {
+            let mut acc = Duration::ZERO;
+            for s in (1..20_000u64).step_by(997) {
+                let d = sbf.inverse(Duration(s), Duration(100_000)).unwrap_or(Duration::ZERO);
+                acc = acc.saturating_add(d);
             }
             acc
         })

@@ -1,49 +1,28 @@
-//! Incremental response-time analysis for admission control.
+//! Memoized response-time analysis for admission control.
 //!
 //! An admission controller answers a stream of *related* queries: task
 //! sets that differ from recently analysed ones by one add / remove /
 //! parameter change, plus outright repeats (probe-then-commit, revert
-//! after reject). [`IncrementalSolver`] memoizes the analysis pipeline at
-//! three grains so that each query recomputes only what its delta
-//! actually invalidated, while staying **bit-identical** to
-//! [`crate::analyse`] — the differential guarantee experiment E24 and the
-//! property tests in `tests/incremental_properties.rs` enforce:
-//!
-//! 1. **`β` memo** (cross-set): `β(Δ)` is a pure function of the release
-//!    curve, so evaluations are shared between *all* queries through a
-//!    memo keyed by the curve's content fingerprint
-//!    ([`BetaMemo::Shared`][crate::solver] inside the solver).
-//! 2. **Per-task memo**: a task's response bound depends on an exact,
-//!    finite dependency set — its own curve and WCET, the blocking
-//!    scalar, the multiset of higher-or-equal-priority interferers, and
-//!    the supply. A 128-bit fingerprint of that set keys the solved
-//!    bound; any query whose delta leaves a task's dependency set
-//!    untouched gets the cached fixed point back.
-//! 3. **Set memo**: the whole [`AnalysisResult`] (or the error) keyed by
-//!    the set fingerprint — the warm path for repeated and reverted
-//!    queries, which dominate admission-control traffic.
+//! after reject). A cold [`crate::analyse`] costs a few microseconds,
+//! less than finer memo grains (per task, per supply, per curve point)
+//! cost to key, so only whole repeats are memoized: [`IncrementalSolver`]
+//! keys the complete [`AnalysisResult`] (or the error) by
+//! [`set_fingerprint`]. A repeated or reverted query is one hash lookup
+//! and every other query is one plain analysis — **bit-identical** to
+//! [`crate::analyse`] by construction, which the property tests in
+//! `tests/incremental_properties.rs` check.
 //!
 //! Fingerprints are FNV-1a/128 over the structural content (curve shape
 //! parameters, ticks, priorities), not addresses, so equal inputs hash
 //! equal across task sets and sessions. 128 bits makes accidental
 //! collision (which would silently return a wrong bound) negligible.
-//!
-//! Cached [`SolverError`]s are re-tagged with the queried task id before
-//! being returned, so error verdicts — including
-//! [`SolverError::Divergent`] — also match the from-scratch analysis
-//! exactly.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use rossl_model::{Curve, Duration, TaskId, TaskSet, WcetTable};
+use rossl_model::{Curve, Duration, WcetTable};
 
-use crate::analysis::{AnalysisParams, AnalysisResult, RtaError, TaskBound};
-use crate::blackout::BlackoutBound;
-use crate::curves::{release_curves, ReleaseCurve};
-use crate::sbf::{RosslSupply, SupplyBound};
-use crate::solver::{solve_shared, SolverError};
+use crate::analysis::{analyse, AnalysisParams, AnalysisResult, RtaError};
+use crate::solver::SolverError;
 
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
@@ -90,14 +69,6 @@ pub fn curve_fingerprint(curve: &Curve) -> u128 {
     .0
 }
 
-/// Content fingerprint of a jitter-shifted release curve.
-pub fn release_curve_fingerprint(curve: &ReleaseCurve) -> u128 {
-    Fp::new()
-        .u128(curve_fingerprint(curve.base()))
-        .u64(curve.jitter().0)
-        .0
-}
-
 fn wcet_table_fingerprint(w: &WcetTable) -> Fp {
     Fp::new()
         .u64(w.failed_read.0)
@@ -111,8 +82,7 @@ fn wcet_table_fingerprint(w: &WcetTable) -> Fp {
 /// Fingerprint of an entire analysis query — task set (ids, priorities,
 /// WCETs, curves, in order), WCET table, socket count, and horizon. Two
 /// queries with equal fingerprints produce equal [`crate::analyse`]
-/// output, so this is a sound memo key for whole results (and for
-/// admission verdicts layered on top).
+/// output, so this is a sound memo key for whole results.
 pub fn set_fingerprint(params: &AnalysisParams, horizon: Duration) -> u128 {
     let mut fp = wcet_table_fingerprint(params.wcet())
         .u64(params.n_sockets() as u64)
@@ -128,136 +98,79 @@ pub fn set_fingerprint(params: &AnalysisParams, horizon: Duration) -> u128 {
     fp.0
 }
 
-/// Supply fingerprint: everything [`RosslSupply`] is a function of. The
-/// blackout bound folds curves with order-independent saturating sums,
-/// so the **sorted** curve-fingerprint multiset (plus the count, the
-/// overhead table, the socket count, and the horizon) determines the
-/// SBF exactly.
-fn supply_fingerprint(
-    wcet: &WcetTable,
-    n_sockets: usize,
-    rel_fps: &[u128],
-    horizon: Duration,
-) -> u128 {
-    let mut sorted: Vec<u128> = rel_fps.to_vec();
-    sorted.sort_unstable();
-    let mut fp = wcet_table_fingerprint(wcet)
-        .u64(n_sockets as u64)
-        .u64(horizon.0)
-        .u64(sorted.len() as u64);
-    for f in sorted {
-        fp = fp.u128(f);
-    }
-    fp.0
-}
-
-/// Per-task dependency fingerprint: the exact inputs of
-/// [`crate::npfp_response_time`] for one task — own curve and WCET, the
-/// blocking scalar, the sorted multiset of higher-or-equal-priority
-/// interferers (curve, WCET) excluding self, the supply, and the
-/// horizon. The solver's demand sums are order-independent (saturating
-/// arithmetic), so sorting the interferer multiset is sound.
-fn task_dep_fingerprint(
-    tasks: &TaskSet,
-    rel_fps: &[u128],
-    supply_fp: u128,
-    horizon: Duration,
-    task: TaskId,
-) -> u128 {
-    let this = tasks.task(task).expect("caller validated the id");
-    let blocking = tasks
-        .lower_priority_than(task)
-        .map(|t| t.wcet())
-        .max()
-        .unwrap_or(Duration::ZERO);
-    let mut hep: Vec<(u128, u64)> = tasks
-        .equal_or_higher_priority_than(task)
-        .map(|t| (rel_fps[t.id().0], t.wcet().0))
-        .collect();
-    hep.sort_unstable();
-    let mut fp = Fp::new()
-        .u128(supply_fp)
-        .u64(horizon.0)
-        .u128(rel_fps[task.0])
-        .u64(this.wcet().0)
-        .u64(blocking.0)
-        .u64(hep.len() as u64);
-    for (f, c) in hep {
-        fp = fp.u128(f).u64(c);
-    }
-    fp.0
-}
-
-/// Re-tags a cached solver error with the queried task id, so cache hits
-/// report the same error the from-scratch solver would.
-fn retag(err: &SolverError, task: TaskId) -> SolverError {
-    match err {
-        SolverError::NoConvergence { horizon, .. } => SolverError::NoConvergence {
-            task,
-            horizon: *horizon,
-        },
-        SolverError::Divergent { iterations, .. } => SolverError::Divergent {
-            task,
-            iterations: *iterations,
-        },
-        other => other.clone(),
-    }
-}
-
-/// Cache-effectiveness counters, cumulative since construction (or the
-/// last [`IncrementalSolver::clear`]).
+/// Memo counters, cumulative since construction (or the last
+/// [`IncrementalSolver::clear`]).
+///
+/// The per-task and supply fields are kept for their readers; with one
+/// whole-set grain, `task_hits` is always 0, `task_misses` counts the
+/// per-task solves the analyses ran, and `supplies_built` counts the
+/// analyses (each builds one supply bound).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Queries answered wholly from the set memo.
     pub set_hits: u64,
-    /// Queries that ran the per-task pipeline.
+    /// Queries that missed the set memo.
     pub set_misses: u64,
-    /// Per-task bounds served from the dependency-fingerprint memo.
+    /// Always 0: there is no per-task memo.
     pub task_hits: u64,
-    /// Per-task bounds solved from scratch (through the shared `β` memo).
+    /// Per-task bounds solved (an analysis stops at its first failing task).
     pub task_misses: u64,
-    /// Supply bound functions rebuilt (cache misses).
+    /// Analyses run, one supply bound function each.
     pub supplies_built: u64,
 }
 
-/// A memoizing, delta-friendly front end to [`crate::analyse`].
+impl SolverStats {
+    /// Counts one analysis of `params` that produced `result`.
+    pub fn record_analysis(
+        &mut self,
+        params: &AnalysisParams,
+        result: &Result<AnalysisResult, RtaError>,
+    ) {
+        self.supplies_built += 1;
+        self.task_misses += match result {
+            Ok(r) => r.bounds().len(),
+            Err(RtaError::Solver(
+                SolverError::NoConvergence { task, .. } | SolverError::Divergent { task, .. },
+            )) => params
+                .tasks()
+                .iter()
+                .position(|t| t.id() == *task)
+                .map_or(0, |i| i + 1),
+            Err(_) => 0,
+        } as u64;
+    }
+}
+
+/// A whole-set memo in front of [`crate::analyse`].
 ///
 /// Feed it any sequence of analysis queries; results are bit-identical
 /// to calling [`crate::analyse`] fresh each time (including errors),
-/// but shared structure between queries is solved once. See the module
-/// docs for the three memo layers and the soundness argument.
+/// and a query whose set was analysed before is one hash lookup.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
-    beta: RefCell<HashMap<(u128, u64), u64>>,
-    task_memo: HashMap<u128, Result<Duration, SolverError>>,
-    supply_cache: HashMap<u128, Rc<RosslSupply>>,
     set_memo: HashMap<u128, Result<AnalysisResult, RtaError>>,
     stats: SolverStats,
 }
 
 impl IncrementalSolver {
-    /// An empty solver: every memo cold.
+    /// An empty solver: the memo cold.
     pub fn new() -> IncrementalSolver {
         IncrementalSolver::default()
     }
 
-    /// The cumulative cache counters.
+    /// The cumulative memo counters.
     pub fn stats(&self) -> SolverStats {
         self.stats
     }
 
-    /// Drops every memo and resets the counters.
+    /// Drops the memo and resets the counters.
     pub fn clear(&mut self) {
-        self.beta.borrow_mut().clear();
-        self.task_memo.clear();
-        self.supply_cache.clear();
         self.set_memo.clear();
         self.stats = SolverStats::default();
     }
 
-    /// The incremental equivalent of [`crate::analyse`]: same inputs,
-    /// bit-identical output (bounds **and** errors), memoized across
-    /// calls.
+    /// The memoized equivalent of [`crate::analyse`]: same inputs,
+    /// bit-identical output (bounds **and** errors).
     ///
     /// # Errors
     ///
@@ -273,98 +186,10 @@ impl IncrementalSolver {
             return cached.clone();
         }
         self.stats.set_misses += 1;
-
-        // The pipeline mirrors `analyse` exactly: blackout → jitter →
-        // release curves → supply → per-task solve in task order.
-        let jitter = BlackoutBound::for_config(params.tasks(), params.wcet(), params.n_sockets())
-            .overhead_bounds()
-            .max_release_jitter();
-        let curves = release_curves(params.tasks(), jitter);
-        let rel_fps: Vec<u128> = curves.iter().map(release_curve_fingerprint).collect();
-        let supply_fp = supply_fingerprint(params.wcet(), params.n_sockets(), &rel_fps, horizon);
-        let supply = match self.supply_cache.get(&supply_fp) {
-            Some(s) => Rc::clone(s),
-            None => {
-                self.stats.supplies_built += 1;
-                let blackout =
-                    BlackoutBound::for_config(params.tasks(), params.wcet(), params.n_sockets());
-                let s = Rc::new(RosslSupply::new(blackout, horizon));
-                self.supply_cache.insert(supply_fp, Rc::clone(&s));
-                s
-            }
-        };
-
-        let result = self.analyse_tasks(
-            params.tasks(),
-            &curves,
-            &rel_fps,
-            supply.as_ref(),
-            supply_fp,
-            jitter,
-            horizon,
-        );
+        let result = analyse(params, horizon);
+        self.stats.record_analysis(params, &result);
         self.set_memo.insert(set_fp, result.clone());
         result
-    }
-
-    /// Test hook: the per-task memoized pipeline against an **arbitrary**
-    /// supply (e.g. a deliberately divergent one), so property tests can
-    /// check error-verdict parity on paths `analyse` cannot reach.
-    /// `supply_fp` must change whenever the supply's behaviour does.
-    ///
-    /// # Errors
-    ///
-    /// As [`IncrementalSolver::analyse`].
-    pub fn analyse_with_supply<S: SupplyBound>(
-        &mut self,
-        tasks: &TaskSet,
-        supply: &S,
-        supply_fp: u128,
-        jitter: Duration,
-        horizon: Duration,
-    ) -> Result<AnalysisResult, RtaError> {
-        let curves = release_curves(tasks, jitter);
-        let rel_fps: Vec<u128> = curves.iter().map(release_curve_fingerprint).collect();
-        self.analyse_tasks(tasks, &curves, &rel_fps, supply, supply_fp, jitter, horizon)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn analyse_tasks<S: SupplyBound>(
-        &mut self,
-        tasks: &TaskSet,
-        curves: &[ReleaseCurve],
-        rel_fps: &[u128],
-        supply: &S,
-        supply_fp: u128,
-        jitter: Duration,
-        horizon: Duration,
-    ) -> Result<AnalysisResult, RtaError> {
-        let mut bounds = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let dep_fp = task_dep_fingerprint(tasks, rel_fps, supply_fp, horizon, task.id());
-            let solved = match self.task_memo.get(&dep_fp) {
-                Some(cached) => {
-                    self.stats.task_hits += 1;
-                    match cached {
-                        Ok(r) => Ok(*r),
-                        Err(e) => Err(retag(e, task.id())),
-                    }
-                }
-                None => {
-                    self.stats.task_misses += 1;
-                    let solved =
-                        solve_shared(tasks, curves, supply, task.id(), horizon, rel_fps, &self.beta);
-                    self.task_memo.insert(dep_fp, solved.clone());
-                    solved
-                }
-            };
-            bounds.push(TaskBound {
-                task: task.id(),
-                jitter,
-                response_bound: solved?,
-            });
-        }
-        Ok(AnalysisResult::from_bounds(bounds))
     }
 }
 
@@ -372,7 +197,7 @@ impl IncrementalSolver {
 mod tests {
     use super::*;
     use crate::analyse;
-    use rossl_model::{Priority, Task};
+    use rossl_model::{Priority, Task, TaskId, TaskSet};
 
     fn params(specs: &[(u32, u64, u64)]) -> AnalysisParams {
         let tasks = TaskSet::new(
@@ -404,9 +229,6 @@ mod tests {
             params(&[(1, 10, 1_000), (9, 5, 500)]), // revert: set-memo hit
             params(&[(1, 12, 1_000), (9, 5, 500)]), // wcet delta
             params(&[(1, 200, 210)]),               // heavy but schedulable alone
-            // A mid-priority WCET tweak (3 → 2, below the blocking max of
-            // 10) leaves the top task's dependency set untouched: its
-            // bound is a task-memo hit even though the set is new.
             params(&[(1, 10, 1_000), (2, 3, 700), (9, 5, 500)]),
             params(&[(1, 10, 1_000), (2, 2, 700), (9, 5, 500)]),
         ];
@@ -416,7 +238,12 @@ mod tests {
         }
         let stats = inc.stats();
         assert_eq!(stats.set_hits, 1, "the revert repeats a set: {stats:?}");
-        assert!(stats.task_hits > 0, "curve-preserving deltas reuse: {stats:?}");
+        assert_eq!(stats.set_misses, queries.len() as u64 - 1);
+        assert_eq!(stats.supplies_built, stats.set_misses);
+        assert_eq!(stats.task_hits, 0, "there is no per-task memo: {stats:?}");
+        // Every miss solved each task of its (schedulable) set once.
+        let solved: usize = queries.iter().map(|q| q.tasks().len()).sum::<usize>() - 2;
+        assert_eq!(stats.task_misses, solved as u64);
     }
 
     #[test]
@@ -430,6 +257,11 @@ mod tests {
         // Warm path replays the same error.
         assert_eq!(inc.analyse(&q, horizon), scratch);
         assert_eq!(inc.stats().set_hits, 1);
+        // The analysis stopped at its first failing task.
+        let Err(RtaError::Solver(SolverError::NoConvergence { task, .. })) = scratch else {
+            panic!("U > 1 cannot converge: {scratch:?}");
+        };
+        assert_eq!(inc.stats().task_misses, task.0 as u64 + 1);
     }
 
     #[test]

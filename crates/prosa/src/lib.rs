@@ -66,9 +66,7 @@ pub use analysis::{
 };
 pub use blackout::BlackoutBound;
 pub use curves::{max_release_jitter, rbf, ReleaseCurve};
-pub use incremental::{
-    curve_fingerprint, release_curve_fingerprint, set_fingerprint, IncrementalSolver, SolverStats,
-};
+pub use incremental::{curve_fingerprint, set_fingerprint, IncrementalSolver, SolverStats};
 pub use sbf::{IdealSupply, RosslSupply, SupplyBound};
 pub use schedulability::{breakdown_scale, check_schedulability, scale_wcets, Schedulability, TaskVerdict};
-pub use solver::{busy_window_length, npfp_response_time, npfp_response_time_uncached, SolverError};
+pub use solver::{busy_window_length, npfp_response_time, SolverError};

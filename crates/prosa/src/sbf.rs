@@ -12,6 +12,7 @@
 //! since `δ − BlackoutBound(δ)` need not be monotone in `δ`.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use rossl_model::Duration;
 
@@ -58,14 +59,22 @@ impl SupplyBound for IdealSupply {
     }
 }
 
-/// The Rössl supply bound function: `SBF(Δ) = max_{δ ≤ Δ}(δ − BB(δ))`,
-/// precomputed against a [`BlackoutBound`] up to a horizon.
+/// The Rössl supply bound function: `SBF(Δ) = max_{δ ≤ Δ}(δ − BB(δ))`
+/// against a [`BlackoutBound`], up to a horizon.
 ///
+/// Construction is O(1). [`SupplyBound::inverse`] — the only call the
+/// RTA solver makes — works on the blackout bound directly: because
+/// `SBF` is the running maximum of `δ − BB(δ)`, the least `δ` with
+/// `SBF(δ) ≥ s ≥ 1` is the least `δ` with `δ ≥ s + BB(δ)`, the least
+/// fixed point of the monotone map `δ ↦ s + BB(δ)`, which iterating from
+/// `δ = s` reaches from below.
+///
+/// [`SupplyBound::sbf`] reads an interval table built on its first call.
 /// `BlackoutBound` is a right-continuous step function, so `δ − BB(δ)`
-/// increases with slope one between its jump points; the running maximum is
-/// therefore fully determined by the values just before each jump, which
-/// are precomputed. Queries beyond the precomputation horizon return
-/// `SBF(horizon)` — a sound (monotone) underestimate.
+/// increases with slope one between its jump points; the running maximum
+/// is therefore fully determined by the values just before each jump.
+/// Queries beyond the horizon return `SBF(horizon)` — a sound (monotone)
+/// underestimate — and `inverse` answers within the horizon accordingly.
 ///
 /// # Examples
 ///
@@ -82,53 +91,101 @@ impl SupplyBound for IdealSupply {
 /// // Monotone and never exceeding Δ:
 /// assert!(sbf.sbf(Duration(500)) <= Duration(500));
 /// assert!(sbf.sbf(Duration(500)) <= sbf.sbf(Duration(501)));
+/// // The inverse is the least window that supplies the requested amount.
+/// let d = sbf.inverse(Duration(100), Duration(10_000)).unwrap();
+/// assert!(sbf.sbf(d) >= Duration(100) && sbf.sbf(d - Duration(1)) < Duration(100));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct RosslSupply {
-    /// `(p_k, BB on [p_k, p_{k+1}), best supply over δ < p_k)`.
-    intervals: Vec<(Duration, Duration, Duration)>,
+    blackout: BlackoutBound,
     horizon: Duration,
+    /// `(p_k, BB on [p_k, p_{k+1}), best supply over δ < p_k)`, built by
+    /// the first [`SupplyBound::sbf`] call.
+    intervals: OnceLock<Vec<(Duration, Duration, Duration)>>,
 }
 
 impl RosslSupply {
-    /// Precomputes the SBF for window lengths up to `horizon`.
+    /// The SBF of `blackout` for window lengths up to `horizon`.
     pub fn new(blackout: BlackoutBound, horizon: Duration) -> RosslSupply {
-        let mut points = blackout.increase_points(horizon);
-        points.retain(|p| !p.is_zero());
-
-        let mut intervals = Vec::with_capacity(points.len() + 1);
-        let mut best = Duration::ZERO; // max(0, δ − BB(δ)) over δ seen so far
-        let mut start = Duration::ZERO;
-        let mut level = blackout.bound(Duration::ZERO);
-        for p in points {
-            // Interval [start, p): BB constant at `level`; the supremum of
-            // δ − level is at δ = p − 1.
-            intervals.push((start, level, best));
-            let at_end = (p - Duration(1)).saturating_sub(level);
-            best = best.max(at_end);
-            start = p;
-            level = blackout.bound(p);
+        RosslSupply {
+            blackout,
+            horizon,
+            intervals: OnceLock::new(),
         }
-        intervals.push((start, level, best));
-        RosslSupply { intervals, horizon }
     }
 
     /// The precomputation horizon.
     pub fn horizon(&self) -> Duration {
         self.horizon
     }
+
+    fn intervals(&self) -> &[(Duration, Duration, Duration)] {
+        self.intervals
+            .get_or_init(|| build_intervals(&self.blackout, self.horizon))
+    }
+}
+
+/// Sweeps the increase points of `blackout` up to `horizon` into the
+/// interval table [`RosslSupply::sbf`] reads.
+fn build_intervals(
+    blackout: &BlackoutBound,
+    horizon: Duration,
+) -> Vec<(Duration, Duration, Duration)> {
+    let mut points = blackout.increase_points(horizon);
+    points.retain(|p| !p.is_zero());
+
+    let mut intervals = Vec::with_capacity(points.len() + 1);
+    let mut best = Duration::ZERO; // max(0, δ − BB(δ)) over δ seen so far
+    let mut start = Duration::ZERO;
+    let mut level = blackout.bound(Duration::ZERO);
+    for p in points {
+        // Interval [start, p): BB constant at `level`; the supremum of
+        // δ − level is at δ = p − 1.
+        intervals.push((start, level, best));
+        let at_end = (p - Duration(1)).saturating_sub(level);
+        best = best.max(at_end);
+        start = p;
+        level = blackout.bound(p);
+    }
+    intervals.push((start, level, best));
+    intervals
 }
 
 impl SupplyBound for RosslSupply {
     fn sbf(&self, delta: Duration) -> Duration {
         let delta = delta.min(self.horizon);
-        let idx = self
-            .intervals
+        let intervals = self.intervals();
+        let idx = intervals
             .partition_point(|&(start, _, _)| start <= delta)
             .saturating_sub(1);
-        let (_, level, best) = self.intervals[idx];
+        let (_, level, best) = intervals[idx];
         best.max(delta.saturating_sub(level))
+    }
+
+    /// The least `δ ≤ min(cap, horizon)` with `δ ≥ supply + BB(δ)`, by
+    /// iterating `δ ← supply + BB(δ)` from `δ = supply`. Every iterate is
+    /// at most every such `δ` (induction over the monotone `BB`), and the
+    /// iterates rise until one is a fixed point — the answer — or passes
+    /// the limit, in which case no window within it suffices. Each step
+    /// that does not settle crosses a jump of `BB`, so the loop runs at
+    /// most once per jump below the answer.
+    fn inverse(&self, supply: Duration, cap: Duration) -> Option<Duration> {
+        if supply.is_zero() {
+            return Some(Duration::ZERO);
+        }
+        let limit = cap.min(self.horizon);
+        let mut delta = supply;
+        loop {
+            if delta > limit {
+                return None;
+            }
+            let next = Duration(supply.0.checked_add(self.blackout.bound(delta).0)?);
+            if next <= delta {
+                return Some(delta);
+            }
+            delta = next;
+        }
     }
 }
 
@@ -137,7 +194,7 @@ impl fmt::Display for RosslSupply {
         write!(
             f,
             "RosslSupply({} intervals up to {})",
-            self.intervals.len(),
+            self.intervals().len(),
             self.horizon
         )
     }
@@ -201,6 +258,87 @@ mod tests {
         }
     }
 
+    /// The eager supply table as `RosslSupply::new` built it before the
+    /// table became lazy: the oracle for the lazy `sbf`.
+    struct EagerSupply {
+        intervals: Vec<(Duration, Duration, Duration)>,
+        horizon: Duration,
+    }
+
+    impl EagerSupply {
+        fn new(blackout: BlackoutBound, horizon: Duration) -> EagerSupply {
+            let mut points = blackout.increase_points(horizon);
+            points.retain(|p| !p.is_zero());
+            let mut intervals = Vec::with_capacity(points.len() + 1);
+            let mut best = Duration::ZERO;
+            let mut start = Duration::ZERO;
+            let mut level = blackout.bound(Duration::ZERO);
+            for p in points {
+                intervals.push((start, level, best));
+                let at_end = (p - Duration(1)).saturating_sub(level);
+                best = best.max(at_end);
+                start = p;
+                level = blackout.bound(p);
+            }
+            intervals.push((start, level, best));
+            EagerSupply { intervals, horizon }
+        }
+    }
+
+    impl SupplyBound for EagerSupply {
+        fn sbf(&self, delta: Duration) -> Duration {
+            let delta = delta.min(self.horizon);
+            let idx = self
+                .intervals
+                .partition_point(|&(start, _, _)| start <= delta)
+                .saturating_sub(1);
+            let (_, level, best) = self.intervals[idx];
+            best.max(delta.saturating_sub(level))
+        }
+    }
+
+    #[test]
+    fn lazy_table_matches_the_eager_builder() {
+        let tasks = TaskSet::new(vec![
+            Task::new(TaskId(0), "a", Priority(1), Duration(10), Curve::sporadic(Duration(97))),
+            Task::new(TaskId(1), "b", Priority(3), Duration(4), Curve::periodic(Duration(61))),
+            Task::new(TaskId(2), "c", Priority(2), Duration(6), Curve::leaky_bucket(2, 1, 45)),
+            Task::new(
+                TaskId(3),
+                "d",
+                Priority(5),
+                Duration(3),
+                Curve::staircase(vec![(Duration(5), 1), (Duration(40), 3), (Duration(300), 4)]),
+            ),
+        ])
+        .unwrap();
+        let wcet = WcetTable::example();
+        for n_sockets in 1..=3 {
+            let mut bounds = vec![
+                BlackoutBound::for_config(&tasks, &wcet, n_sockets),
+                BlackoutBound::for_config(&tasks, &wcet, n_sockets).with_straddlers(1),
+            ];
+            bounds.extend(
+                tasks
+                    .iter()
+                    .map(|t| BlackoutBound::for_task(&tasks, &wcet, n_sockets, t.id())),
+            );
+            for bb in bounds {
+                for horizon in [1u64, 57, 800, 4_000] {
+                    let lazy = RosslSupply::new(bb.clone(), Duration(horizon));
+                    let eager = EagerSupply::new(bb.clone(), Duration(horizon));
+                    for d in 0..=horizon + 10 {
+                        assert_eq!(
+                            lazy.sbf(Duration(d)),
+                            eager.sbf(Duration(d)),
+                            "Δ = {d}, horizon {horizon}, {bb}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sbf_is_monotone_and_below_identity() {
         let s = supply();
@@ -228,6 +366,25 @@ mod tests {
                 assert!(d.is_zero() || s.sbf(d - Duration(1)) < Duration(target));
             }
         }
+    }
+
+    #[test]
+    fn inverse_answers_the_supply_itself_without_blackout() {
+        // No straddlers and no release before Δ = 40: BB is 0 on short
+        // windows, so the least window supplying s is s itself.
+        let tasks = TaskSet::new(vec![Task::new(
+            TaskId(0),
+            "late",
+            Priority(1),
+            Duration(5),
+            Curve::staircase(vec![(Duration(50), 1)]),
+        )])
+        .unwrap();
+        let bb = BlackoutBound::for_config(&tasks, &WcetTable::example(), 1).with_straddlers(0);
+        let s = RosslSupply::new(bb, Duration(1_000));
+        assert_eq!(s.inverse(Duration(1), Duration(1_000)), Some(Duration(1)));
+        assert_eq!(s.inverse(Duration(7), Duration(1_000)), Some(Duration(7)));
+        assert_eq!(s.inverse(Duration(7), Duration(6)), None);
     }
 
     #[test]

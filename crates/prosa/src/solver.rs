@@ -27,8 +27,6 @@
 //!   release — those cases are dominated by `A = 0` of the restarted
 //!   window and are skipped.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 
 use rossl_model::{ArrivalCurve, Duration, Task, TaskId, TaskSet};
@@ -98,60 +96,16 @@ impl std::error::Error for SolverError {}
 /// finitely many points, so genuine convergence happens in far fewer.
 const MAX_ITERATIONS: usize = 100_000;
 
-/// How the solver memoizes `β` (curve) evaluations. Curve evaluation is
-/// the hot inner operation of the fixed-point loops — every iteration
-/// re-evaluates every task's curve at the trial window, and within one
-/// solver call the same `(task, Δ)` pairs recur across iterations and
-/// across offsets (the busy-window loop and all per-offset start-time
-/// loops probe overlapping windows).
-pub(crate) enum BetaMemo<'m> {
-    /// No memoization: the reference path kept for differential testing.
-    Off,
-    /// A memo scoped to one solver call, keyed by task id — the default.
-    PerCall(RefCell<HashMap<(TaskId, Duration), u64>>),
-    /// A memo shared **across** solver calls and task sets, keyed by the
-    /// release curve's content fingerprint instead of the task id.
-    /// `β` is a pure function of the curve alone, so fingerprint-keyed
-    /// sharing returns bit-identical values — this is what lets the
-    /// incremental solver reuse curve work between admission queries.
-    Shared {
-        /// `fps[i]` fingerprints `curves[i]`.
-        fps: &'m [u128],
-        /// The cross-call memo, owned by the incremental solver.
-        memo: &'m RefCell<HashMap<(u128, u64), u64>>,
-    },
-}
-
 struct Ctx<'a, S> {
     tasks: &'a TaskSet,
     curves: &'a [ReleaseCurve],
     supply: &'a S,
     horizon: Duration,
-    beta_memo: BetaMemo<'a>,
 }
 
 impl<S: SupplyBound> Ctx<'_, S> {
     fn beta(&self, task: TaskId, delta: Duration) -> u64 {
-        match &self.beta_memo {
-            BetaMemo::Off => self.curves[task.0].max_arrivals(delta),
-            BetaMemo::PerCall(cache) => {
-                if let Some(&cached) = cache.borrow().get(&(task, delta)) {
-                    return cached;
-                }
-                let value = self.curves[task.0].max_arrivals(delta);
-                cache.borrow_mut().insert((task, delta), value);
-                value
-            }
-            BetaMemo::Shared { fps, memo } => {
-                let key = (fps[task.0], delta.0);
-                if let Some(&cached) = memo.borrow().get(&key) {
-                    return cached;
-                }
-                let value = self.curves[task.0].max_arrivals(delta);
-                memo.borrow_mut().insert(key, value);
-                value
-            }
-        }
+        self.curves[task.0].max_arrivals(delta)
     }
 
     /// Σ over `others` of `β_j(Δ)·C_j`.
@@ -192,14 +146,12 @@ pub fn busy_window_length(
         curves,
         supply,
         horizon,
-        beta_memo: BetaMemo::PerCall(RefCell::new(HashMap::new())),
     };
     busy_window_in(&ctx, this)
 }
 
-/// [`busy_window_length`] over an already-validated context, so
-/// [`npfp_response_time`] can share one `β` memo between the busy-window
-/// loop and the per-offset start-time loops.
+/// [`busy_window_length`] over an already-validated context, shared with
+/// [`npfp_response_time`].
 fn busy_window_in<S: SupplyBound>(ctx: &Ctx<'_, S>, this: &Task) -> Result<Duration, SolverError> {
     let task = this.id();
     let horizon = ctx.horizon;
@@ -253,68 +205,6 @@ pub fn npfp_response_time(
     task: TaskId,
     horizon: Duration,
 ) -> Result<Duration, SolverError> {
-    solve(
-        tasks,
-        curves,
-        supply,
-        task,
-        horizon,
-        BetaMemo::PerCall(RefCell::new(HashMap::new())),
-    )
-}
-
-/// [`npfp_response_time`] with a **cross-call** `β` memo keyed by curve
-/// fingerprint (see [`BetaMemo::Shared`]). Bit-identical results — `β`
-/// depends only on the curve, which the fingerprint captures — but curve
-/// work done for one task set is reused for every later set that shares
-/// curves, which is what the incremental admission solver banks on.
-///
-/// `fps[i]` must fingerprint `curves[i]` (content fingerprints, e.g.
-/// [`crate::incremental::release_curve_fingerprint`]); collisions would
-/// silently corrupt results, so callers use 128-bit fingerprints.
-///
-/// # Errors
-///
-/// As [`npfp_response_time`].
-pub(crate) fn solve_shared(
-    tasks: &TaskSet,
-    curves: &[ReleaseCurve],
-    supply: &impl SupplyBound,
-    task: TaskId,
-    horizon: Duration,
-    fps: &[u128],
-    memo: &RefCell<HashMap<(u128, u64), u64>>,
-) -> Result<Duration, SolverError> {
-    debug_assert_eq!(fps.len(), curves.len());
-    solve(tasks, curves, supply, task, horizon, BetaMemo::Shared { fps, memo })
-}
-
-/// The memoization-free reference path of [`npfp_response_time`]: bit-for
-/// bit the same recurrence, re-evaluating every curve instead of caching.
-/// Exists so regression tests and benchmarks can difference the memoized
-/// solver against it; there is no other reason to call it.
-///
-/// # Errors
-///
-/// As [`npfp_response_time`].
-pub fn npfp_response_time_uncached(
-    tasks: &TaskSet,
-    curves: &[ReleaseCurve],
-    supply: &impl SupplyBound,
-    task: TaskId,
-    horizon: Duration,
-) -> Result<Duration, SolverError> {
-    solve(tasks, curves, supply, task, horizon, BetaMemo::Off)
-}
-
-fn solve(
-    tasks: &TaskSet,
-    curves: &[ReleaseCurve],
-    supply: &impl SupplyBound,
-    task: TaskId,
-    horizon: Duration,
-    beta_memo: BetaMemo<'_>,
-) -> Result<Duration, SolverError> {
     if curves.len() != tasks.len() {
         return Err(SolverError::CurveCountMismatch {
             tasks: tasks.len(),
@@ -329,7 +219,6 @@ fn solve(
         curves,
         supply,
         horizon,
-        beta_memo,
     };
 
     // Non-preemptive blocking by a lower-priority job.
@@ -551,46 +440,6 @@ mod tests {
             npfp_response_time(&tasks, &[], &IdealSupply, TaskId(0), Duration(1_000)),
             Err(SolverError::CurveCountMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn memoized_solver_matches_uncached_reference() {
-        let sets = [
-            ts(&[(1, 10, 100)]),
-            ts(&[(1, 10, 1000), (9, 5, 500)]),
-            ts(&[(5, 4, 100), (5, 6, 100)]),
-            ts(&[(1, 9, 10)]),
-            ts(&[(1, 10, 200), (9, 7, 100), (4, 3, 50)]),
-        ];
-        for tasks in &sets {
-            for jitter in [Duration::ZERO, Duration(25)] {
-                let curves = release_curves(tasks, jitter);
-                for t in 0..tasks.len() {
-                    let cached = npfp_response_time(
-                        tasks,
-                        &curves,
-                        &IdealSupply,
-                        TaskId(t),
-                        Duration(1_000_000),
-                    );
-                    let uncached = npfp_response_time_uncached(
-                        tasks,
-                        &curves,
-                        &IdealSupply,
-                        TaskId(t),
-                        Duration(1_000_000),
-                    );
-                    assert_eq!(cached, uncached, "task {t}, jitter {jitter}");
-                }
-            }
-        }
-        // Error verdicts agree too.
-        let overload = ts(&[(1, 11, 10)]);
-        let curves = release_curves(&overload, Duration::ZERO);
-        assert_eq!(
-            npfp_response_time(&overload, &curves, &IdealSupply, TaskId(0), Duration(10_000)),
-            npfp_response_time_uncached(&overload, &curves, &IdealSupply, TaskId(0), Duration(10_000)),
-        );
     }
 
     #[test]

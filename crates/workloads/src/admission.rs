@@ -1,30 +1,35 @@
-//! Online admission control over the incremental solver.
+//! Online admission control over one verdict memo.
 //!
 //! An [`AdmissionController`] owns the currently admitted task set and
 //! answers add / remove / update queries ([`Delta`]) with a typed
 //! [`Verdict`]. Accepting commits the delta; rejecting leaves the
 //! admitted set untouched. The design-time/run-time split:
 //!
-//! * **Design time** — every query runs the full RefinedProsa analysis
-//!   through [`prosa::IncrementalSolver`], whose fingerprint memos make
-//!   related queries cheap while staying bit-identical to a from-scratch
-//!   [`prosa::analyse`] (experiment E24's differential check).
+//! * **Design time** — a verdict the controller has not seen runs one
+//!   plain [`prosa::analyse`] of the candidate set plus the deadline
+//!   test, so it is bit-identical to the from-scratch [`scratch_verdict`]
+//!   (experiment E24's differential check).
 //! * **Run time** — accepted bounds are installed into a
 //!   [`rossl::AdmissionCache`], the table the scheduler side consults
 //!   via `feasible_online` (with the pessimistic `R_i = T_i` fallback
 //!   while a verdict is pending).
 //!
-//! On top sits a **decision memo**: a compact admit/reject bit keyed by
-//! a 128-bit content fingerprint of the candidate — priorities, WCETs,
-//! curves **and deadlines**, folded straight off the [`TaskRequest`]s
-//! without materializing a task set. Admission traffic is highly
-//! repetitive (probe–commit, probe–reject–revert), so the warm path is
-//! one fingerprint plus one hash lookup — this is what the ≥1M
-//! queries/sec budget in `BENCH_admission.json` measures.
+//! Every verdict is memoized, keyed by a 128-bit content fingerprint of
+//! the candidate — length plus each slot's priority, WCET, curve **and
+//! deadline**, in slot order — folded straight off the [`TaskRequest`]s
+//! without materializing a task set. The deadline is in the key because
+//! equal tasks with different deadlines decide differently; slot order
+//! is in it because the verdict's task ids are slot indices. Admission
+//! traffic is highly repetitive (probe–commit, probe–reject–revert,
+//! teardown to a prefix seen on the way up), so both `admissible` and
+//! `query` look the memo up first: a repeat is one fingerprint plus one
+//! hash lookup — this is what the ≥1M queries/sec budget in
+//! `BENCH_admission.json` measures.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use prosa::{analyse, curve_fingerprint, AnalysisParams, IncrementalSolver, RtaError, SolverStats, TaskBound};
+use prosa::{analyse, curve_fingerprint, AnalysisParams, RtaError, SolverStats, TaskBound};
 use rossl::AdmissionCache;
 use rossl_model::{Curve, Duration, Priority, Task, TaskId, TaskSet, WcetTable};
 
@@ -154,22 +159,22 @@ pub struct AdmissionStats {
     pub accepted: u64,
     /// Non-committing `admissible` probes.
     pub probes: u64,
-    /// Probes answered from the decision memo.
+    /// Probes answered from the verdict memo.
     pub probe_memo_hits: u64,
 }
 
-/// The admission controller: admitted set + incremental solver +
-/// runtime bound cache + decision memo. See the module docs.
+/// The admission controller: admitted set + runtime bound cache +
+/// verdict memo. See the module docs.
 #[derive(Debug)]
 pub struct AdmissionController {
-    solver: IncrementalSolver,
     admitted: Vec<TaskRequest>,
     wcet: WcetTable,
     n_sockets: usize,
     horizon: Duration,
     runtime: AdmissionCache,
-    decisions: HashMap<u128, bool>,
+    verdicts: HashMap<u128, Verdict>,
     stats: AdmissionStats,
+    memo_stats: SolverStats,
 }
 
 impl AdmissionController {
@@ -177,14 +182,14 @@ impl AdmissionController {
     /// overhead table, socket count, and busy-window horizon.
     pub fn new(wcet: WcetTable, n_sockets: usize, horizon: Duration) -> AdmissionController {
         AdmissionController {
-            solver: IncrementalSolver::new(),
             admitted: Vec::new(),
             wcet,
             n_sockets,
             horizon,
             runtime: AdmissionCache::new(),
-            decisions: HashMap::new(),
+            verdicts: HashMap::new(),
             stats: AdmissionStats::default(),
+            memo_stats: SolverStats::default(),
         }
     }
 
@@ -203,100 +208,61 @@ impl AdmissionController {
         self.stats
     }
 
-    /// The incremental solver's cache counters.
+    /// The verdict memo's counters, in the solver's vocabulary:
+    /// `set_hits`/`set_misses` are memo lookups by `admissible` and
+    /// `query` alike, `supplies_built` counts the analyses the misses
+    /// ran (an empty candidate needs none), `task_misses` their per-task
+    /// solves, and `task_hits` is 0.
     pub fn solver_stats(&self) -> SolverStats {
-        self.solver.stats()
+        self.memo_stats
     }
 
-    /// The candidate task list `self.admitted ⊕ delta`, or the offending
-    /// slot for out-of-range deltas.
-    fn candidate(&self, delta: &Delta) -> Result<Vec<TaskRequest>, usize> {
-        let mut tasks = self.admitted.clone();
-        match delta {
-            Delta::Add(req) => tasks.push(req.clone()),
-            Delta::Remove(slot) => {
-                if *slot >= tasks.len() {
-                    return Err(*slot);
-                }
-                tasks.remove(*slot);
+    /// The verdict on `self ⊕ delta` and whether the memo held it, or
+    /// the offending slot for an out-of-range delta. A miss runs one
+    /// analysis plus the deadline test and memoizes the verdict. Does
+    /// not commit.
+    fn verdict(&mut self, delta: &Delta) -> Result<(&Verdict, bool), usize> {
+        let (len, tasks) = candidate(&self.admitted, delta)?;
+        let fp = tasks.clone().fold(fold(FNV_OFFSET, len as u64), fold_request);
+        match self.verdicts.entry(fp) {
+            Entry::Occupied(hit) => {
+                self.memo_stats.set_hits += 1;
+                Ok((hit.into_mut(), true))
             }
-            Delta::Update(slot, req) => {
-                if *slot >= tasks.len() {
-                    return Err(*slot);
-                }
-                tasks[*slot] = req.clone();
-            }
-        }
-        Ok(tasks)
-    }
-
-    /// Lowers a candidate list to analysis parameters (dense ids in slot
-    /// order) plus the positional deadline vector.
-    fn params_of(&self, tasks: &[TaskRequest]) -> (AnalysisParams, Vec<Duration>) {
-        let set = TaskSet::new(
-            tasks
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    Task::new(
-                        TaskId(i),
-                        r.name.clone(),
-                        Priority(r.priority),
-                        Duration(r.wcet),
-                        r.curve.clone(),
-                    )
-                })
-                .collect(),
-        )
-        .expect("admission candidates are dense, nonzero-wcet, valid-curve");
-        let deadlines = tasks.iter().map(|r| Duration(r.deadline)).collect();
-        let params = AnalysisParams::new(set, self.wcet, self.n_sockets)
-            .expect("controller construction validated wcet and sockets");
-        (params, deadlines)
-    }
-
-    /// Analyses a candidate list and applies the deadline test. Does not
-    /// commit.
-    fn decide(&mut self, tasks: &[TaskRequest]) -> Verdict {
-        if tasks.is_empty() {
-            // An empty system is trivially feasible.
-            return Verdict::Accepted { bounds: Vec::new() };
-        }
-        let (params, deadlines) = self.params_of(tasks);
-        match self.solver.analyse(&params, self.horizon) {
-            Err(e) => Verdict::Rejected(Rejection::Analysis(e)),
-            Ok(result) => {
-                for (bound, &deadline) in result.bounds().iter().zip(&deadlines) {
-                    if bound.total_bound() > deadline {
-                        return Verdict::Rejected(Rejection::DeadlineMiss {
-                            task: bound.task,
-                            bound: bound.total_bound(),
-                            deadline,
-                        });
-                    }
-                }
-                Verdict::Accepted {
-                    bounds: result.bounds().to_vec(),
-                }
+            Entry::Vacant(miss) => {
+                self.memo_stats.set_misses += 1;
+                let verdict = decide(
+                    tasks,
+                    &self.wcet,
+                    self.n_sockets,
+                    self.horizon,
+                    &mut self.memo_stats,
+                );
+                Ok((miss.insert(verdict), false))
             }
         }
     }
 
-    /// The committing query: analyse `self ⊕ delta`; on acceptance the
+    /// The committing query: decide `self ⊕ delta`; on acceptance the
     /// delta is applied and the runtime cache is rebuilt with the new
     /// bounds, on rejection nothing changes. The verdict's bounds (and
     /// its rejection reasons) are bit-identical to running
     /// [`prosa::analyse`] from scratch on the candidate set.
     pub fn query(&mut self, delta: Delta) -> Verdict {
         self.stats.queries += 1;
-        let tasks = match self.candidate(&delta) {
-            Ok(tasks) => tasks,
+        let verdict = match self.verdict(&delta) {
+            Ok((verdict, _)) => verdict.clone(),
             Err(slot) => return Verdict::Rejected(Rejection::UnknownSlot(slot)),
         };
-        let verdict = self.decide(&tasks);
         if let Verdict::Accepted { bounds } = &verdict {
             self.stats.accepted += 1;
-            self.admitted = tasks;
+            match delta {
+                Delta::Add(req) => self.admitted.push(req),
+                Delta::Remove(slot) => {
+                    self.admitted.remove(slot);
+                }
+                Delta::Update(slot, req) => self.admitted[slot] = req,
+            }
             // Slots shift on remove, so ids are re-dense: rebuild the
             // runtime table rather than patching it.
             self.runtime.clear();
@@ -307,70 +273,20 @@ impl AdmissionController {
         verdict
     }
 
-    /// The candidate's decision-memo key for `delta`, computed straight
-    /// off the admitted [`TaskRequest`]s (no task-set build, no clones),
-    /// or `None` for an out-of-range slot. The WCET table, socket count
-    /// and horizon are fixed per controller, so per-candidate content —
-    /// length plus every slot's (priority, WCET, curve, deadline) — is a
-    /// sound key.
-    fn probe_fingerprint(&self, delta: &Delta) -> Option<u128> {
-        let n = self.admitted.len();
-        let mut fp = FNV_OFFSET;
-        match delta {
-            Delta::Add(req) => {
-                fp = fold(fp, (n + 1) as u64);
-                for r in &self.admitted {
-                    fp = fold_request(fp, r);
-                }
-                fp = fold_request(fp, req);
-            }
-            Delta::Remove(slot) => {
-                if *slot >= n {
-                    return None;
-                }
-                fp = fold(fp, (n - 1) as u64);
-                for (i, r) in self.admitted.iter().enumerate() {
-                    if i != *slot {
-                        fp = fold_request(fp, r);
-                    }
-                }
-            }
-            Delta::Update(slot, req) => {
-                if *slot >= n {
-                    return None;
-                }
-                fp = fold(fp, n as u64);
-                for (i, r) in self.admitted.iter().enumerate() {
-                    fp = fold_request(fp, if i == *slot { req } else { r });
-                }
-            }
-        }
-        Some(fp)
-    }
-
     /// The non-committing probe: would `self ⊕ delta` be admitted?
-    /// Decision-memoized by candidate-set fingerprint, so repeated
-    /// probes against a warm memo are a fingerprint plus a hash lookup —
-    /// the ≥1M queries/sec path of experiment E24.
+    /// Shares the verdict memo with [`AdmissionController::query`], so a
+    /// repeated probe against a warm memo is a fingerprint plus a hash
+    /// lookup — the ≥1M queries/sec path of experiment E24.
     pub fn admissible(&mut self, delta: &Delta) -> bool {
         self.stats.probes += 1;
-        let Some(fp) = self.probe_fingerprint(delta) else {
-            return false;
-        };
-        if let Some(&decision) = self.decisions.get(&fp) {
-            self.stats.probe_memo_hits += 1;
-            return decision;
+        match self.verdict(delta) {
+            Ok((verdict, hit)) => {
+                let accepted = verdict.is_accepted();
+                self.stats.probe_memo_hits += u64::from(hit);
+                accepted
+            }
+            Err(_) => false,
         }
-        let tasks = self
-            .candidate(delta)
-            .expect("probe_fingerprint validated the slot");
-        let decision = if tasks.is_empty() {
-            true
-        } else {
-            self.decide(&tasks).is_accepted()
-        };
-        self.decisions.insert(fp, decision);
-        decision
     }
 
     /// Runs the runtime-side feasibility check on the admitted set
@@ -380,27 +296,41 @@ impl AdmissionController {
         if self.admitted.is_empty() {
             return true;
         }
-        let (params, deadlines) = self.params_of(&self.admitted);
-        self.runtime.feasible_online(params.tasks(), &deadlines)
+        let deadlines: Vec<Duration> = self.admitted.iter().map(|r| Duration(r.deadline)).collect();
+        self.runtime
+            .feasible_online(&task_set(self.admitted.iter()), &deadlines)
     }
 }
 
-/// The from-scratch reference decision for a candidate task list: the
-/// exact verdict [`AdmissionController::query`] must produce, computed
-/// with [`prosa::analyse`] and no memo anywhere. E24 and the property
-/// tests difference the controller against this.
-pub fn scratch_verdict(
-    tasks: &[TaskRequest],
-    wcet: &WcetTable,
-    n_sockets: usize,
-    horizon: Duration,
-) -> Verdict {
-    if tasks.is_empty() {
-        return Verdict::Accepted { bounds: Vec::new() };
-    }
-    let set = TaskSet::new(
+/// The candidate task list `admitted ⊕ delta` in slot order, with its
+/// length, or the offending slot for an out-of-range delta.
+fn candidate<'a>(
+    admitted: &'a [TaskRequest],
+    delta: &'a Delta,
+) -> Result<(usize, impl Iterator<Item = &'a TaskRequest> + Clone), usize> {
+    let n = admitted.len();
+    let (len, skip, replace, add) = match delta {
+        Delta::Add(req) => (n + 1, None, None, Some(req)),
+        Delta::Remove(slot) if *slot < n => (n - 1, Some(*slot), None, None),
+        Delta::Update(slot, req) if *slot < n => (n, None, Some((*slot, req)), None),
+        Delta::Remove(slot) | Delta::Update(slot, _) => return Err(*slot),
+    };
+    let tasks = admitted
+        .iter()
+        .enumerate()
+        .filter(move |&(i, _)| Some(i) != skip)
+        .map(move |(i, r)| match replace {
+            Some((slot, req)) if slot == i => req,
+            _ => r,
+        })
+        .chain(add);
+    Ok((len, tasks))
+}
+
+/// Lowers a candidate list to a task set: dense ids in slot order.
+fn task_set<'a>(tasks: impl Iterator<Item = &'a TaskRequest>) -> TaskSet {
+    TaskSet::new(
         tasks
-            .iter()
             .enumerate()
             .map(|(i, r)| {
                 Task::new(
@@ -413,13 +343,31 @@ pub fn scratch_verdict(
             })
             .collect(),
     )
-    .expect("valid candidates");
-    let deadlines: Vec<Duration> = tasks.iter().map(|r| Duration(r.deadline)).collect();
-    let params = AnalysisParams::new(set, *wcet, n_sockets).expect("valid params");
-    match analyse(&params, horizon) {
+    .expect("admission candidates are dense, nonzero-wcet, valid-curve")
+}
+
+/// The verdict on a candidate list: one [`prosa::analyse`] plus the
+/// deadline test `R_i + J_i ≤ D_i`, counted into `stats`. An empty
+/// system is trivially feasible and needs no analysis.
+fn decide<'a>(
+    tasks: impl Iterator<Item = &'a TaskRequest> + Clone,
+    wcet: &WcetTable,
+    n_sockets: usize,
+    horizon: Duration,
+    stats: &mut SolverStats,
+) -> Verdict {
+    if tasks.clone().next().is_none() {
+        return Verdict::Accepted { bounds: Vec::new() };
+    }
+    let params = AnalysisParams::new(task_set(tasks.clone()), *wcet, n_sockets)
+        .expect("controller construction validated wcet and sockets");
+    let result = analyse(&params, horizon);
+    stats.record_analysis(&params, &result);
+    match result {
         Err(e) => Verdict::Rejected(Rejection::Analysis(e)),
         Ok(result) => {
-            for (bound, &deadline) in result.bounds().iter().zip(&deadlines) {
+            for (bound, r) in result.bounds().iter().zip(tasks) {
+                let deadline = Duration(r.deadline);
                 if bound.total_bound() > deadline {
                     return Verdict::Rejected(Rejection::DeadlineMiss {
                         task: bound.task,
@@ -433,6 +381,19 @@ pub fn scratch_verdict(
             }
         }
     }
+}
+
+/// The from-scratch reference decision for a candidate task list: the
+/// exact verdict [`AdmissionController::query`] must produce, computed
+/// with [`prosa::analyse`] and no memo anywhere. E24 and the property
+/// tests difference the controller against this.
+pub fn scratch_verdict(
+    tasks: &[TaskRequest],
+    wcet: &WcetTable,
+    n_sockets: usize,
+    horizon: Duration,
+) -> Verdict {
+    decide(tasks.iter(), wcet, n_sockets, horizon, &mut SolverStats::default())
 }
 
 #[cfg(test)]
@@ -484,7 +445,8 @@ mod tests {
             Delta::Remove(1),
         ];
         for delta in deltas {
-            let candidate = ac.candidate(&delta);
+            let candidate = candidate(ac.current(), &delta)
+                .map(|(_, tasks)| tasks.cloned().collect::<Vec<_>>());
             let verdict = ac.query(delta);
             if let Ok(tasks) = candidate {
                 let reference =

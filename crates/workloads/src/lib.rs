@@ -13,9 +13,9 @@
 //!   [`SplitRng`] seed.
 //! * **Admission** ([`admission`]) — an online admission controller
 //!   that answers add/remove/update queries against the generated (or
-//!   any other) task sets using `prosa`'s incremental solver, with the
-//!   design-time/run-time split: full fixed-point analysis on cache
-//!   misses, memoized verdicts on the warm path.
+//!   any other) task sets, with the design-time/run-time split: one
+//!   full `prosa` analysis per candidate not seen before, memoized
+//!   verdicts on the warm path.
 //!
 //! The fuzzer (`rossl-fuzz`) builds on this crate: it re-exports
 //! [`SplitRng`] and seeds its corpus from [`generator`] output.
