@@ -77,8 +77,7 @@ pub fn exp_crash_recovery(depth: usize) -> String {
         .iter()
         .enumerate()
     {
-        w.append(m, Instant(i as u64 + 1));
-        w.commit();
+        w.append_committed(m, Instant(i as u64 + 1));
     }
     let clean = w.into_bytes();
 

@@ -491,8 +491,7 @@ impl CrashSweep {
         let pre = materialize_trace(&node.pre_trace);
         let mut journal = JournalWriter::new();
         for (i, marker) in pre.iter().enumerate() {
-            journal.append(marker, Instant(i as u64 + 1));
-            journal.commit();
+            journal.append_committed(marker, Instant(i as u64 + 1));
         }
         let mut bytes = journal.into_bytes();
         // The write the crash interrupted: a torn event header.

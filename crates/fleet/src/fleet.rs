@@ -401,6 +401,19 @@ impl Fleet {
     /// and runs the cross-shard checker, which takes the shards' trace
     /// histories (a fleet runs once).
     pub fn run(&mut self, workload: Workload, plan: &FaultPlan) -> FleetOutcome {
+        let (ticks, _windows) = self.drive(workload, plan, true);
+        self.outcome(ticks, plan)
+    }
+
+    /// The drive loop behind [`Fleet::run`]: returns the last fleet tick
+    /// and the number of quiet windows fast-forwarded. A quiet window
+    /// (DESIGN §10.8) is a stretch of ticks with no fault, submission or
+    /// router attempt due, in which every live shard only polls empty
+    /// sockets; its ticks are stepped shard by shard through
+    /// [`Shard::idle_run`] instead of tick by tick. With `fast_forward`
+    /// off this is the tick-stepped reference the differential oracle
+    /// compares against.
+    fn drive(&mut self, workload: Workload, plan: &FaultPlan, fast_forward: bool) -> (u64, u64) {
         let schedule = self.schedule(workload);
         let horizon = schedule.last().map_or(0, |(t, _, _)| *t);
         let max_ticks = horizon + self.config.drain_ticks;
@@ -421,8 +434,10 @@ impl Fleet {
             .collect();
         faults.sort_by_key(|&(at_tick, _)| at_tick);
         let mut next_fault = 0usize;
+        let check_interval = self.config.check_interval;
 
         let mut tick = 0u64;
+        let mut windows = 0u64;
         loop {
             while next_fault < faults.len() && faults[next_fault].0 == tick {
                 self.apply_fault(faults[next_fault].1, tick);
@@ -439,10 +454,7 @@ impl Fleet {
                 next_sub += 1;
             }
             self.route_and_step(tick);
-            if self.config.check_interval > 0
-                && tick > 0
-                && tick % self.config.check_interval == 0
-            {
+            if check_interval > 0 && tick > 0 && tick % check_interval == 0 {
                 self.health_check(tick);
             }
             // Nothing can drain before the last submission: scan the
@@ -456,9 +468,35 @@ impl Fleet {
                 break;
             }
             tick += 1;
+            // Fast-forward the quiet window `tick..until`: no submission,
+            // fault or router attempt falls in it. The stop test just
+            // failed and nothing it reads changes in the window, and every
+            // live shard steps every tick, so no health check in the
+            // window sees staleness (DESIGN §10.8).
+            let until = schedule
+                .get(next_sub)
+                .map_or(max_ticks, |s| s.0)
+                .min(faults.get(next_fault).map_or(max_ticks, |f| f.0))
+                .min(self.router.next_due().unwrap_or(max_ticks))
+                .min(max_ticks);
+            if fast_forward
+                && until > tick
+                && self.shards.iter().all(|s| s.fenced || s.idle_eligible(tick))
+            {
+                windows += 1;
+                for shard in self.shards.iter_mut().filter(|s| !s.fenced) {
+                    shard.idle_run(tick, until);
+                }
+                if check_interval > 0 {
+                    let first = tick.div_ceil(check_interval) * check_interval;
+                    for check in (first..until).step_by(check_interval as usize) {
+                        self.health_check(check);
+                    }
+                }
+                tick = until;
+            }
         }
-
-        self.outcome(tick, plan)
+        (tick, windows)
     }
 
     /// The deterministic submission schedule: `(tick, key, seq)` in
@@ -721,8 +759,7 @@ impl Fleet {
         let mut journal = JournalWriter::new();
         if let Ok(r) = recover(self.shards[succ].journal_bytes()) {
             for ev in &r.committed {
-                journal.append(&ev.marker, ev.at);
-                journal.commit();
+                journal.append_committed(&ev.marker, ev.at);
             }
         }
         let mut next_id = succ_state.next_job_id;
@@ -732,14 +769,13 @@ impl Fleet {
         for job in &state.pending {
             let fresh = Job::new(JobId(next_id), job.task(), job.data().to_vec());
             next_id += 1;
-            journal.append(
+            journal.append_committed(
                 &Marker::ReadEnd {
                     sock: SocketId(job.task().0 % self.n_sockets),
                     job: Some(fresh.clone()),
                 },
                 Instant(succ_clock),
             );
-            journal.commit();
             // Migrated re-pends are arrivals into the successor's
             // pending set: account them against the task's curve so
             // the bound oracle knows whether this shard stayed
@@ -948,3 +984,7 @@ impl Fleet {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "fast_forward_oracle.rs"]
+mod fast_forward_oracle;

@@ -256,8 +256,7 @@ impl Shard {
         };
         let clock_before = self.clock;
         self.clock += marker_cost(&marker, &self.wcet, self.config.tasks());
-        self.journal.append(&marker, Instant(self.clock));
-        self.journal.commit();
+        self.journal.append_committed(&marker, Instant(self.clock));
         // Only request-phase markers reach the tracer and the fleet; the
         // idle polls that make up most steps fall through untouched.
         let prio_of = |task: rossl_model::TaskId| {
@@ -308,6 +307,50 @@ impl Shard {
         self.pending_request = request;
         self.last_step_tick = now;
         events
+    }
+
+    /// Can this shard run a quiet window starting at fleet tick `now`
+    /// through [`Shard::idle_run`]? It must be able to step, have
+    /// nothing to read and nothing pending, have no job in flight
+    /// (after `M_Dispatch` the next marker is `M_Execution`), and run
+    /// without a mode policy, the only source of mode switches.
+    pub(crate) fn idle_eligible(&self, now: u64) -> bool {
+        let Some(sched) = self.sched.as_ref() else {
+            return false;
+        };
+        self.can_step(now)
+            && sched.pending_count() == 0
+            && sched.mode_policy().is_none()
+            && self.unread.iter().all(VecDeque::is_empty)
+            && !matches!(self.pending_request, Some(Request::Execute(_)))
+            && !matches!(self.current.last(), Some(Marker::Dispatch(_) | Marker::Execution(_)))
+    }
+
+    /// Steps an [`idle_eligible`](Shard::idle_eligible) shard once per
+    /// fleet tick in `from..until`, exactly as [`Shard::step`] would:
+    /// every marker still comes from `advance`, is charged and journaled.
+    /// Its sockets are empty, so each read is answered `⊥` without
+    /// polling them, and the markers (`M_ReadS`, `M_ReadE ⊥`,
+    /// `M_Selection`, `M_Idling`) raise no event and no span.
+    pub(crate) fn idle_run(&mut self, from: u64, until: u64) {
+        let Some(sched) = self.sched.as_mut() else {
+            return;
+        };
+        let tasks = self.config.tasks();
+        let mut request = self.pending_request.take();
+        for _ in from..until {
+            // Only reads are outstanding in a quiet window.
+            let response = request.map(|_| Response::ReadResult(None));
+            let Ok(Step { marker, request: next }) = sched.advance(response) else {
+                unreachable!("an idle scheduler accepts an empty read");
+            };
+            self.clock += marker_cost(&marker, &self.wcet, tasks);
+            self.journal.append_committed(&marker, Instant(self.clock));
+            self.current.push(marker);
+            request = next;
+        }
+        self.pending_request = request;
+        self.last_step_tick = until - 1;
     }
 
     /// The supervisor owning this shard's restart budget.

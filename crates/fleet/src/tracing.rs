@@ -10,10 +10,41 @@
 //! instants the fleet derives response times from — so the attribution
 //! engine's per-job sum is tick-exact by construction.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rossl_obs::{ClockDomain, SpanBatch, SpanId, SpanKind, TraceCollector, TraceId};
+
+/// The per-key state of work in flight: a handful of entries at a time
+/// (payloads between delivery and read, jobs between read and
+/// completion), so a scan of one short vector replaces a tree walk.
+#[derive(Debug)]
+struct InFlight<T>(Vec<(u64, T)>);
+
+impl<T> InFlight<T> {
+    fn new() -> InFlight<T> {
+        InFlight(Vec::new())
+    }
+
+    fn insert(&mut self, key: u64, value: T) {
+        match self.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => self.0.push((key, value)),
+        }
+    }
+
+    fn get(&self, key: u64) -> Option<&T> {
+        self.0.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    fn get_mut(&mut self, key: u64) -> Option<&mut T> {
+        self.0.iter_mut().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    fn remove(&mut self, key: u64) -> Option<T> {
+        let pos = self.0.iter().position(|(k, _)| *k == key)?;
+        Some(self.0.swap_remove(pos).1)
+    }
+}
 
 /// Per-job tracing context on one shard, keyed by raw job id.
 #[derive(Debug)]
@@ -34,8 +65,8 @@ pub(crate) struct ShardTracer {
     domain: ClockDomain,
     /// Open enqueue span (and its route parent) per fleet sequence
     /// number, between delivery and the `ReadEnd` commit.
-    enqueue_open: BTreeMap<u64, (SpanId, Option<SpanId>)>,
-    jobs: BTreeMap<u64, JobCtx>,
+    enqueue_open: InFlight<(SpanId, Option<SpanId>)>,
+    jobs: InFlight<JobCtx>,
 }
 
 impl ShardTracer {
@@ -43,8 +74,8 @@ impl ShardTracer {
         ShardTracer {
             collector,
             domain: ClockDomain::Shard(shard),
-            enqueue_open: BTreeMap::new(),
-            jobs: BTreeMap::new(),
+            enqueue_open: InFlight::new(),
+            jobs: InFlight::new(),
         }
     }
 
@@ -84,7 +115,7 @@ impl ShardTracer {
         commit: u64,
         skip_close: bool,
     ) {
-        let Some((enq, parent)) = self.enqueue_open.remove(&seq) else {
+        let Some((enq, parent)) = self.enqueue_open.remove(seq) else {
             return; // untraced delivery
         };
         let trace = TraceId(seq);
@@ -106,7 +137,7 @@ impl ShardTracer {
 
     /// The `Dispatch` for `job` committed at `clock`.
     pub(crate) fn on_dispatch(&mut self, job: u64, task: u64, prio: u64, clock: u64, commit: u64) {
-        let Some(ctx) = self.jobs.get_mut(&job) else {
+        let Some(ctx) = self.jobs.get_mut(job) else {
             return;
         };
         let mut batch = self.collector.batch();
@@ -127,7 +158,7 @@ impl ShardTracer {
 
     /// The `Completion` for `job` committed at `clock`.
     pub(crate) fn on_complete(&mut self, job: u64, clock: u64, commit: u64) {
-        let Some(ctx) = self.jobs.remove(&job) else {
+        let Some(ctx) = self.jobs.remove(job) else {
             return;
         };
         if let Some(x) = ctx.exec {
@@ -149,7 +180,7 @@ impl ShardTracer {
     /// migration seam's causal link (the wait if the job was pending,
     /// the interrupted execute if it was in flight).
     pub(crate) fn span_of(&self, job: u64) -> Option<SpanId> {
-        self.jobs.get(&job).and_then(|c| c.exec.or(c.wait))
+        self.jobs.get(job).and_then(|c| c.exec.or(c.wait))
     }
 
     /// A migrated job re-arrived pre-accepted at successor clock
@@ -199,10 +230,11 @@ impl ShardTracer {
 #[derive(Debug)]
 pub(crate) struct RouterTracer {
     collector: Arc<TraceCollector>,
-    open: BTreeMap<u64, SpanId>,
-    /// The most recently closed episode per seq — the cross-domain
-    /// parent of the shard-side enqueue span.
-    last: BTreeMap<u64, SpanId>,
+    open: InFlight<SpanId>,
+    /// The most recently closed episode per seq, indexed by seq (the
+    /// fleet numbers its submissions from 0) — the cross-domain parent
+    /// of the shard-side enqueue span.
+    last: Vec<Option<SpanId>>,
 }
 
 /// Stable numeric codes for routing outcomes in span args.
@@ -214,7 +246,7 @@ pub(crate) mod outcome_code {
 
 impl RouterTracer {
     pub(crate) fn new(collector: Arc<TraceCollector>) -> RouterTracer {
-        RouterTracer { collector, open: BTreeMap::new(), last: BTreeMap::new() }
+        RouterTracer { collector, open: InFlight::new(), last: Vec::new() }
     }
 
     fn open_episode(&mut self, seq: u64, tick: u64, resend_from: Option<u64>) {
@@ -238,7 +270,7 @@ impl RouterTracer {
     }
 
     pub(crate) fn on_retry(&mut self, seq: u64, shard: u64, attempt: u64, due: u64, tick: u64) {
-        let parent = self.open.get(&seq).copied();
+        let parent = self.open.get(seq).copied();
         self.collector.instant(
             TraceId(seq),
             parent,
@@ -262,11 +294,15 @@ impl RouterTracer {
 
     /// Closes `seq`'s episode; `args` lead with its `outcome` code.
     fn close(&mut self, seq: u64, tick: u64, args: &[(&'static str, u64)]) {
-        let Some(id) = self.open.remove(&seq) else {
+        let Some(id) = self.open.remove(seq) else {
             return;
         };
         self.collector.batch().end_with(id, tick, args);
-        self.last.insert(seq, id);
+        let slot = seq as usize;
+        if slot >= self.last.len() {
+            self.last.resize(slot + 1, None);
+        }
+        self.last[slot] = Some(id);
     }
 
     pub(crate) fn on_delivered(&mut self, seq: u64, shard: u64, attempt: u64, tick: u64) {
@@ -287,6 +323,6 @@ impl RouterTracer {
 
     /// The closed route span a delivery of `seq` came from.
     pub(crate) fn route_parent(&self, seq: u64) -> Option<SpanId> {
-        self.last.get(&seq).copied()
+        self.last.get(seq as usize).copied().flatten()
     }
 }

@@ -49,24 +49,70 @@ static TABLES: [[u32; 256]; 8] = tables();
 /// assert_eq!(rossl_journal::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
+    !update(!0, data)
+}
+
+/// Folds `data` into the raw (uninverted) CRC register `c`:
+/// `crc32(a ++ b) == !update(update(!0, a), b)`. That is what lets a
+/// journal frame start from the register state after its constant
+/// header instead of re-hashing it.
+pub(crate) fn update(mut c: u32, data: &[u8]) -> u32 {
     let t = &TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for w in &mut chunks {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
+        c = step8(c, u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]));
     }
-    for &b in chunks.remainder() {
+    let mut rest = chunks.remainder();
+    // A remainder of four or more bytes takes one slice-by-4 step: the
+    // four bytes consume the whole register.
+    if let [b0, b1, b2, b3, tail @ ..] = rest {
+        let lo = c ^ u32::from_le_bytes([*b0, *b1, *b2, *b3]);
+        c = t[3][(lo & 0xFF) as usize]
+            ^ t[2][((lo >> 8) & 0xFF) as usize]
+            ^ t[1][((lo >> 16) & 0xFF) as usize]
+            ^ t[0][(lo >> 24) as usize];
+        rest = tail;
+    }
+    for &b in rest {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// One slice-by-8 step: folds the eight little-endian bytes of `word`
+/// into the raw register `c`.
+#[inline]
+pub(crate) fn step8(c: u32, word: u64) -> u32 {
+    let t = &TABLES;
+    let lo = c ^ word as u32;
+    let hi = (word >> 32) as u32;
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// The raw register after the 5-byte frame header `[kind, len:u32le]`,
+/// computed bit by bit at compile time: a frame whose header is fixed
+/// starts its CRC here.
+pub(crate) const fn header_state(kind: u8, len: u32) -> u32 {
+    let header = [kind, len as u8, (len >> 8) as u8, (len >> 16) as u8, (len >> 24) as u8];
+    let mut c = !0u32;
+    let mut i = 0;
+    while i < header.len() {
+        c ^= header[i] as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        i += 1;
+    }
+    c
 }
 
 #[cfg(test)]

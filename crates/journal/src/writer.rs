@@ -4,8 +4,44 @@ use rossl_model::Instant;
 use rossl_trace::Marker;
 
 use crate::codec::encode_marker;
-use crate::crc::crc32;
+use crate::crc::{crc32, header_state, step8, update};
 use crate::{KIND_COMMIT, KIND_EVENT, KIND_TELEMETRY, MAGIC};
+
+/// Raw CRC register after a commit frame's header, which is always
+/// `[KIND_COMMIT, 8, 0, 0, 0]`.
+const COMMIT_STATE: u32 = header_state(KIND_COMMIT, 8);
+/// Raw CRC registers after the headers of the job-free event frames:
+/// the timestamp plus `M_ReadS`, `M_Selection` or `M_Idling` (9 bytes),
+/// `M_ModeSwitch` (11) or `M_ReadE ⊥` (17).
+const EVENT_9_STATE: u32 = header_state(KIND_EVENT, 9);
+const EVENT_11_STATE: u32 = header_state(KIND_EVENT, 11);
+const EVENT_17_STATE: u32 = header_state(KIND_EVENT, 17);
+
+/// Bytes of a commit frame: header, count, CRC.
+const COMMIT_FRAME_LEN: usize = 5 + 8 + 4;
+
+/// The CRC of a whole frame (`kind len payload`). Frames whose header
+/// is one of the constant ones above start from its precomputed state
+/// and hash only the payload.
+fn frame_crc(frame: &[u8]) -> u32 {
+    let state = match (frame[0], frame.len() - 5) {
+        (KIND_COMMIT, 8) => COMMIT_STATE,
+        (KIND_EVENT, 9) => EVENT_9_STATE,
+        (KIND_EVENT, 11) => EVENT_11_STATE,
+        (KIND_EVENT, 17) => EVENT_17_STATE,
+        _ => return crc32(frame),
+    };
+    !update(state, &frame[5..])
+}
+
+/// The commit frame sealing `count` events: its CRC is one slice-by-8
+/// step over the count from the constant header state.
+fn commit_frame(count: u64) -> [u8; COMMIT_FRAME_LEN] {
+    let mut frame = [KIND_COMMIT, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+    frame[5..13].copy_from_slice(&count.to_le_bytes());
+    frame[13..].copy_from_slice(&(!step8(COMMIT_STATE, count)).to_le_bytes());
+    frame
+}
 
 /// An in-memory journal being built record by record.
 ///
@@ -47,7 +83,7 @@ impl JournalWriter {
     fn seal(&mut self, start: usize) {
         let len = (self.buf.len() - start - 5) as u32;
         self.buf[start + 1..start + 5].copy_from_slice(&len.to_le_bytes());
-        let crc = crc32(&self.buf[start..]);
+        let crc = frame_crc(&self.buf[start..]);
         self.buf.extend_from_slice(&crc.to_le_bytes());
     }
 
@@ -58,6 +94,27 @@ impl JournalWriter {
         encode_marker(marker, &mut self.buf);
         self.seal(start);
         self.events_written += 1;
+    }
+
+    /// Appends one `(marker, timestamp)` event record and the commit
+    /// record sealing it — the write-ahead step of a drive loop that
+    /// commits every marker: exactly the bytes of
+    /// [`JournalWriter::append`] followed by [`JournalWriter::commit`].
+    ///
+    /// ```
+    /// use rossl_journal::JournalWriter;
+    /// use rossl_model::Instant;
+    /// use rossl_trace::Marker;
+    ///
+    /// let (mut fused, mut pair) = (JournalWriter::new(), JournalWriter::new());
+    /// fused.append_committed(&Marker::Idling, Instant(9));
+    /// pair.append(&Marker::Idling, Instant(9));
+    /// pair.commit();
+    /// assert_eq!(fused.bytes(), pair.bytes());
+    /// ```
+    pub fn append_committed(&mut self, marker: &Marker, at: Instant) {
+        self.append(marker, at);
+        self.commit();
     }
 
     /// Appends one telemetry record: an opaque snapshot blob (the
@@ -74,9 +131,7 @@ impl JournalWriter {
 
     /// Appends a commit record sealing every event written so far.
     pub fn commit(&mut self) {
-        let start = self.open(KIND_COMMIT);
-        self.buf.extend_from_slice(&self.events_written.to_le_bytes());
-        self.seal(start);
+        self.buf.extend_from_slice(&commit_frame(self.events_written));
         self.commits_written += 1;
     }
 
@@ -195,5 +250,51 @@ mod tests {
             assert_eq!(new.bytes(), old.buf.as_slice(), "telemetry of {len} bytes");
         }
         assert_eq!(new.events_written(), old.events_written);
+    }
+
+    #[test]
+    fn append_committed_equals_append_then_commit() {
+        // Counters and timestamps at the edges of every byte lane the
+        // slice-by-8 step folds. The counter stops one short of
+        // `u64::MAX`: the append itself increments it.
+        let edges = [0u64, 1, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, u64::MAX - 1];
+        for count in edges {
+            for at in edges.iter().map(|&t| Instant(t)).chain([Instant(u64::MAX)]) {
+                for marker in every_marker() {
+                    let mut fused = JournalWriter { events_written: count, ..JournalWriter::new() };
+                    let mut pair = fused.clone();
+                    let mut old = Oracle { buf: MAGIC.to_vec(), events_written: count };
+                    fused.append_committed(&marker, at);
+                    pair.append(&marker, at);
+                    pair.commit();
+                    old.append(&marker, at);
+                    old.commit();
+                    assert_eq!(fused.bytes(), pair.bytes(), "{marker:?} at {at:?}, count {count}");
+                    assert_eq!(fused.bytes(), old.buf.as_slice(), "{marker:?} vs the oracle");
+                    assert_eq!(
+                        (fused.events_written(), fused.commits_written()),
+                        (pair.events_written(), pair.commits_written())
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn header_states_equal_the_crc_of_the_full_frame(
+            kind in 0u8..=4,
+            len_pick in 0usize..5,
+            body in proptest::collection::vec(0u8..=255, 0..40),
+        ) {
+            // The lengths with a precomputed state, plus the body's own.
+            let len = [8, 9, 11, 17, body.len()][len_pick].min(body.len());
+            let payload = &body[..len];
+            let mut frame = vec![kind];
+            frame.extend_from_slice(&(len as u32).to_le_bytes());
+            frame.extend_from_slice(payload);
+            proptest::prop_assert_eq!(!update(header_state(kind, len as u32), payload), crc32(&frame));
+            proptest::prop_assert_eq!(frame_crc(&frame), crc32(&frame));
+        }
     }
 }

@@ -179,12 +179,44 @@ impl Span {
     }
 }
 
+/// A span as the collector keeps it: everything but its annotations,
+/// which sit in a buffer of their own while it is open and in
+/// `CollectorInner::args` once it is closed. Recording a span thus
+/// allocates nothing; [`TraceCollector::drain`] builds the [`Span`]s.
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    trace: TraceId,
+    id: SpanId,
+    parent: Option<SpanId>,
+    link: Option<SpanId>,
+    kind: SpanKind,
+    domain: ClockDomain,
+    start: u64,
+    end: u64,
+    truncated: bool,
+    /// Annotations in `CollectorInner::args` (closed spans only).
+    n_args: usize,
+}
+
+/// An open span and the annotations gathered so far.
+#[derive(Debug)]
+struct Open {
+    rec: Rec,
+    args: Vec<(&'static str, u64)>,
+}
+
 #[derive(Debug, Default)]
 struct CollectorInner {
     /// The next span id to hand out.
     next: u64,
-    open: Vec<Span>,
-    closed: VecDeque<Span>,
+    open: Vec<Open>,
+    /// Closed spans, oldest first.
+    closed: VecDeque<Rec>,
+    /// The annotations of `closed`, span after span.
+    args: VecDeque<(&'static str, u64)>,
+    /// Emptied annotation buffers of closed spans, for the spans opened
+    /// next.
+    spare: Vec<Vec<(&'static str, u64)>>,
 }
 
 /// A bounded concurrent span collector: open spans are tracked until
@@ -292,16 +324,32 @@ impl TraceCollector {
     /// domain. Call once when the run stops.
     pub fn finish(&self, end_of: impl Fn(&ClockDomain) -> u64) {
         let mut batch = self.batch();
-        for mut span in std::mem::take(&mut batch.inner.open) {
-            span.end = span.start.max(end_of(&span.domain));
-            span.truncated = true;
-            batch.close(span);
+        for Open { mut rec, args } in std::mem::take(&mut batch.inner.open) {
+            rec.end = rec.start.max(end_of(&rec.domain));
+            rec.truncated = true;
+            batch.close(rec, args, &[]);
         }
     }
 
     /// Removes and returns every closed span, oldest first.
     pub fn drain(&self) -> Vec<Span> {
-        self.lock().closed.drain(..).collect()
+        let mut inner = self.lock();
+        let CollectorInner { closed, args, .. } = &mut *inner;
+        closed
+            .drain(..)
+            .map(|rec| Span {
+                trace: rec.trace,
+                id: rec.id,
+                parent: rec.parent,
+                link: rec.link,
+                kind: rec.kind,
+                domain: rec.domain,
+                start: rec.start,
+                end: rec.end,
+                truncated: rec.truncated,
+                args: args.drain(..rec.n_args).collect(),
+            })
+            .collect()
     }
 
     /// Spans closed so far (including truncated ones).
@@ -340,18 +388,17 @@ impl Drop for SpanBatch<'_> {
 }
 
 impl SpanBatch<'_> {
-    fn new_span(
+    fn new_rec(
         &mut self,
         trace: TraceId,
         parent: Option<SpanId>,
         kind: SpanKind,
         domain: ClockDomain,
         start: u64,
-        args: &[(&'static str, u64)],
-    ) -> Span {
+    ) -> Rec {
         let id = SpanId(self.inner.next);
         self.inner.next += 1;
-        Span {
+        Rec {
             trace,
             id,
             parent,
@@ -361,19 +408,35 @@ impl SpanBatch<'_> {
             start,
             end: start,
             truncated: false,
-            args: args.to_vec(),
+            n_args: 0,
         }
     }
 
-    /// Moves `span` into the closed ring, displacing the oldest closed
-    /// span when the ring is full.
-    fn close(&mut self, span: Span) {
+    /// Moves `rec` into the closed ring with its annotations `args`
+    /// followed by `extra`, displacing the oldest closed span when the
+    /// ring is full; the emptied `args` buffer is kept for reuse.
+    fn close(
+        &mut self,
+        mut rec: Rec,
+        mut args: Vec<(&'static str, u64)>,
+        extra: &[(&'static str, u64)],
+    ) {
         self.closed += 1;
-        if self.inner.closed.len() == self.collector.cap {
-            self.inner.closed.pop_front();
+        let inner = &mut *self.inner;
+        if inner.closed.len() == self.collector.cap {
+            if let Some(old) = inner.closed.pop_front() {
+                inner.args.drain(..old.n_args);
+            }
             self.collector.displaced.inc();
         }
-        self.inner.closed.push_back(span);
+        rec.n_args = args.len() + extra.len();
+        inner.args.extend(args.iter().copied());
+        inner.args.extend(extra.iter().copied());
+        if args.capacity() > 0 {
+            args.clear();
+            inner.spare.push(args);
+        }
+        inner.closed.push_back(rec);
     }
 
     /// [`TraceCollector::start`], then one
@@ -387,10 +450,11 @@ impl SpanBatch<'_> {
         start: u64,
         args: &[(&'static str, u64)],
     ) -> SpanId {
-        let span = self.new_span(trace, parent, kind, domain, start, args);
-        let id = span.id;
-        self.inner.open.push(span);
-        id
+        let rec = self.new_rec(trace, parent, kind, domain, start);
+        let mut buf = self.inner.spare.pop().unwrap_or_default();
+        buf.extend_from_slice(args);
+        self.inner.open.push(Open { rec, args: buf });
+        rec.id
     }
 
     /// [`TraceCollector::instant`] under the held lock.
@@ -403,10 +467,9 @@ impl SpanBatch<'_> {
         at: u64,
         args: &[(&'static str, u64)],
     ) -> SpanId {
-        let span = self.new_span(trace, parent, kind, domain, at, args);
-        let id = span.id;
-        self.close(span);
-        id
+        let rec = self.new_rec(trace, parent, kind, domain, at);
+        self.close(rec, Vec::new(), args);
+        rec.id
     }
 
     /// [`TraceCollector::end`] under the held lock.
@@ -417,30 +480,29 @@ impl SpanBatch<'_> {
     /// One [`TraceCollector::annotate`] per entry of `args`, then
     /// [`TraceCollector::end`].
     pub fn end_with(&mut self, id: SpanId, end: u64, args: &[(&'static str, u64)]) {
-        if let Some(pos) = self.inner.open.iter().position(|s| s.id == id) {
-            let mut span = self.inner.open.swap_remove(pos);
-            span.args.extend_from_slice(args);
-            span.end = span.start.max(end);
-            self.close(span);
+        if let Some(pos) = self.inner.open.iter().position(|o| o.rec.id == id) {
+            let Open { mut rec, args: own } = self.inner.open.swap_remove(pos);
+            rec.end = rec.start.max(end);
+            self.close(rec, own, args);
         }
     }
 
     /// [`TraceCollector::annotate`] under the held lock.
     pub fn annotate(&mut self, id: SpanId, key: &'static str, value: u64) {
-        if let Some(s) = self.open_mut(id) {
-            s.args.push((key, value));
+        if let Some(o) = self.open_mut(id) {
+            o.args.push((key, value));
         }
     }
 
     /// [`TraceCollector::link`] under the held lock.
     pub fn link(&mut self, id: SpanId, target: SpanId) {
-        if let Some(s) = self.open_mut(id) {
-            s.link = Some(target);
+        if let Some(o) = self.open_mut(id) {
+            o.rec.link = Some(target);
         }
     }
 
-    fn open_mut(&mut self, id: SpanId) -> Option<&mut Span> {
-        self.inner.open.iter_mut().find(|s| s.id == id)
+    fn open_mut(&mut self, id: SpanId) -> Option<&mut Open> {
+        self.inner.open.iter_mut().find(|o| o.rec.id == id)
     }
 }
 
@@ -1067,12 +1129,24 @@ mod tests {
     #[test]
     fn ring_displaces_and_counts() {
         let c = TraceCollector::new(2);
+        // Annotations of several lengths: a displaced span takes exactly
+        // its own annotations with it, and a span opened after another
+        // closed starts with none of the closed one's.
+        let args = [("a", 1), ("b", 2), ("c", 3)];
         for i in 0..4 {
-            c.instant(TraceId(i), None, SpanKind::Heartbeat, ClockDomain::Fleet, i, &[]);
+            let n = i as usize % 3;
+            c.instant(TraceId(i), None, SpanKind::Heartbeat, ClockDomain::Fleet, i, &args[..n]);
         }
-        assert_eq!(c.recorded(), 4);
-        assert_eq!(c.displaced(), 2);
-        assert_eq!(c.drain().len(), 2);
+        let fleet = ClockDomain::Fleet;
+        let s = c.batch().start_with(TraceId(8), None, SpanKind::Route, fleet, 4, &args);
+        c.batch().end_with(s, 5, &[("d", 4)]);
+        let s = c.start(TraceId(9), None, SpanKind::Route, fleet, 6);
+        c.end(s, 7);
+        assert_eq!(c.recorded(), 6);
+        assert_eq!(c.displaced(), 4);
+        let kept: Vec<_> = c.drain().into_iter().map(|s| (s.trace, s.args)).collect();
+        let all = vec![("a", 1), ("b", 2), ("c", 3), ("d", 4)];
+        assert_eq!(kept, [(TraceId(8), all), (TraceId(9), vec![])]);
     }
 
     #[test]
